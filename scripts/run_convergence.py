@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Splitting-order study: observable error versus step size for both
-compositions, against a fine-step RK4 reference."""
+compositions, against the closed-form classical flow."""
 
 import argparse
 from pathlib import Path

@@ -7,6 +7,7 @@ from .classical import (
     TrajectorySeries,
     dropped_term_scale,
     energy_like,
+    exact_flow,
     match_metric,
     rk4_integrate,
     tidal_acceleration,

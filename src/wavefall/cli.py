@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from .classical import rk4_integrate
+from .classical import exact_flow
 from .config import DEFAULT_ORDER_BANDS, ScenarioConfig, load_scenario
 from .errors import BoundaryContact, SimulationError
 from .experiments import (
@@ -72,13 +72,8 @@ def _write_report_json(path: str, scenario: ScenarioConfig, report: dict) -> Non
 
 
 def _classical_reference(scenario: ScenarioConfig, series: MomentSeries) -> np.ndarray:
-    """RK4 positions at the recorded stamps (same dt as the quantum run)."""
-    cfg = scenario.evolve_cfg
-    last_step = round(float(series.t[-1] - series.t[0]) / cfg.dt) if series.n_records else 0
-    if last_step == 0:
-        return np.asarray([scenario.x0] * series.n_records, dtype=float)
-    traj = rk4_integrate(scenario.classical_state(), scenario.tidal, cfg.dt, last_step)
-    return traj.x[::cfg.record_every][:series.n_records]
+    """Closed-form classical positions at the recorded stamps."""
+    return exact_flow(scenario.x0, scenario.v0, scenario.tidal, series.t).x
 
 
 def cmd_run(scenario: ScenarioConfig, out: str) -> int:
@@ -96,9 +91,7 @@ def cmd_run(scenario: ScenarioConfig, out: str) -> int:
         _write_series_csv(out, scenario, partial, classical_x, aborted=aborted)
         print(aborted, file=sys.stderr)
         return 3
-    classical_x = _classical_reference(scenario, series)
-    series.classical_x = classical_x
-    _write_series_csv(out, scenario, series, classical_x)
+    _write_series_csv(out, scenario, series, _classical_reference(scenario, series))
     return 0
 
 

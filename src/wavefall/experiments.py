@@ -1,21 +1,19 @@
 """Scripted experiments: universality sweeps, single-step phase checks,
 and the convergence-order study.
 
-Sweep members are independent runs and execute on a thread pool; the
-``SIM_THREADS`` environment variable caps the pool size (0 or unset means
-one worker per CPU).  Reports are plain dataclasses with ``to_dict`` for
-JSON serialization.
+Sweep members are independent runs.  They run one after another, in the
+order given, on the calling thread, so the first member that fails stops
+the sweep and the members after it never run.  Reports are plain
+dataclasses with ``to_dict`` for JSON serialization.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .classical import match_metric, rk4_integrate
+from .classical import exact_flow, match_metric
 from .config import ScenarioConfig
 from .curvature import TidalMatrix
 from .errors import (
@@ -47,26 +45,6 @@ from .propagate import (
 
 RIPPLE_EDGE_PHASE_LIMIT = np.pi / 4.0
 DEFAULT_WEP_RTOL = 1e-8
-
-
-def _max_workers(n_jobs: int) -> int:
-    raw = os.environ.get("SIM_THREADS", "0").strip()
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap <= 0:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_jobs))
-
-
-def _run_members(fn, members):
-    """Run sweep members concurrently, preserving order."""
-    workers = _max_workers(len(members))
-    if workers == 1:
-        return [fn(m) for m in members]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, members))
 
 
 def _annotate(exc: SimulationError, label: str) -> SimulationError:
@@ -120,7 +98,7 @@ class WepReport:
 
 @dataclass(eq=False)
 class ConvergenceReport:
-    """Errors against the fine-step reference and the fitted order."""
+    """Errors against the closed-form classical flow and the fitted order."""
 
     scheme: str
     dts: tuple[float, ...]
@@ -221,7 +199,10 @@ def _pairwise_report(kind: str, labels, runs: list[MomentSeries],
 def wep_mass_sweep(scenario: ScenarioConfig, masses=None,
                    threshold: float | None = None) -> WepReport:
     """Evolve the same packet and curvature for several masses and compare
-    the recorded mean trajectories pairwise."""
+    the recorded mean trajectories pairwise.
+
+    Members run in the order given; the first that fails raises its error,
+    labelled with its mass, and the masses after it are not evolved."""
     masses = tuple(masses if masses is not None else (scenario.masses or ()))
     if len(masses) < 2:
         raise TooFewVariants("mass sweep needs at least two masses")
@@ -233,14 +214,18 @@ def wep_mass_sweep(scenario: ScenarioConfig, masses=None,
         except SimulationError as exc:
             raise _annotate(exc, f"mass={mass:g}") from exc
 
-    runs = _run_members(member, masses)
+    runs = [member(mass) for mass in masses]
     labels = [f"mass={m:g}" for m in masses]
     return _pairwise_report("mass", labels, runs, threshold)
 
 
 def wep_shape_sweep(scenario: ScenarioConfig, shapes=None,
                     threshold: float | None = None) -> WepReport:
-    """As the mass sweep, but varying the envelope with matched first moments."""
+    """As the mass sweep, but varying the envelope with matched first moments.
+
+    Members run in the order given; the first that fails raises its error,
+    labelled with its index and kind, and the shapes after it are not
+    built."""
     shapes = tuple(shapes if shapes is not None else (scenario.shapes or ()))
     if len(shapes) < 2:
         raise TooFewVariants("shape sweep needs at least two shapes")
@@ -262,7 +247,7 @@ def wep_shape_sweep(scenario: ScenarioConfig, shapes=None,
         except SimulationError as exc:
             raise _annotate(exc, label) from exc
 
-    runs = _run_members(member, list(enumerate(shapes)))
+    runs = [member(item) for item in enumerate(shapes)]
     labels = [s.kind for s in shapes]
     return _pairwise_report("shape", labels, runs, threshold)
 
@@ -291,9 +276,9 @@ def convergence_study(scenario: ScenarioConfig, dt_list=None,
     """Fit the observable-error order of the splitting against step size.
 
     Each run covers the scenario duration with its own dt and otherwise the
-    scenario's evolve settings, monitors included; errors are max-deviations
-    from one shared RK4 reference at dt_min/10, subsampled to each run's
-    record stamps.
+    scenario's evolve settings, monitors included; its error is the
+    max-deviation from the closed-form classical flow at its own record
+    stamps.  Runs go in the order of ``dt_list``.
     """
     dts = tuple(float(d) for d in (dt_list if dt_list is not None else (scenario.dt_list or ())))
     if len(dts) < 3:
@@ -302,13 +287,7 @@ def convergence_study(scenario: ScenarioConfig, dt_list=None,
         if abs(b / a - 0.5) > 1e-9:
             raise ConfigError(f"each dt must halve the previous one, got {a} -> {b}")
     scheme = StepScheme(scheme if scheme is not None else scenario.scheme)
-
     duration = scenario.duration()
-    dt_ref = min(dts) / 10.0
-    n_ref = round(duration / dt_ref)
-    if abs(n_ref * dt_ref - duration) > 1e-9:
-        raise ConfigError("scenario duration is not a multiple of the reference step")
-    reference = rk4_integrate(scenario.classical_state(), scenario.tidal, dt_ref, n_ref)
 
     def member(dt: float) -> float:
         n = round(duration / dt)
@@ -317,10 +296,10 @@ def convergence_study(scenario: ScenarioConfig, dt_list=None,
         run_cfg = replace(scenario.evolve_cfg, dt=dt, n_steps=n, record_every=1)
         wf = scenario.build_packet()
         series = evolve(wf, scenario.tidal, scheme, run_cfg)
-        stride = round(dt / dt_ref)
-        return match_metric(series, reference.every(stride))
+        return match_metric(series, exact_flow(scenario.x0, scenario.v0, scenario.tidal,
+                                               series.t))
 
-    errors = _run_members(member, dts)
+    errors = [member(dt) for dt in dts]
     slope = float(np.polyfit(np.log(dts), np.log(errors), 1)[0])
     return ConvergenceReport(scheme=scheme.value, dts=dts,
                              errors=tuple(errors), order=slope)

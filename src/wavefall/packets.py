@@ -109,7 +109,6 @@ class WaveFunction:
     psi: np.ndarray
     mass: float
     t: float = 0.0
-    rest_phase_tracked: bool = True
 
     def __post_init__(self):
         psi = np.asarray(self.psi, dtype=complex)

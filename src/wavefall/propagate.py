@@ -86,11 +86,7 @@ class EvolveConfig:
 
 @dataclass(eq=False)
 class MomentSeries:
-    """Per-record observables of one run, plus the final state.
-
-    ``classical_x`` is filled by callers that pair the run with a reference
-    trajectory (the CLI does); it is None straight out of ``evolve``.
-    """
+    """Per-record observables of one run, plus the final state."""
 
     t: np.ndarray
     norm: np.ndarray
@@ -99,7 +95,6 @@ class MomentSeries:
     cov: np.ndarray
     final_state: WaveFunction | None = None
     diagnostics: dict = field(default_factory=dict)
-    classical_x: np.ndarray | None = None
 
     @property
     def n_records(self) -> int:
@@ -129,6 +124,25 @@ def check_tidal_phase(grid: SpectralGrid, tidal: TidalMatrix, mass: float, dt: f
             f"tidal phase per step {phase:.3f} >= pi at the domain edge; reduce dt")
 
 
+def _check_step(grid: SpectralGrid, mass: float, dt: float,
+                tidal: TidalMatrix | None = None, kinetic: bool = True) -> float | None:
+    """Step-budget guards for the factors a caller applies: the kinetic
+    phase unless ``kinetic`` is False, and with ``tidal`` its dimension, its
+    phase at the domain edge and the weak-field validity.  Returns the
+    validity epsilon, or None without ``tidal``."""
+    if kinetic:
+        check_kinetic_phase(grid, mass, dt)
+    if tidal is None:
+        return None
+    if tidal.dim != grid.dim:
+        raise ValueError(f"tidal dimension {tidal.dim} does not match grid {grid.dim}")
+    check_tidal_phase(grid, tidal, mass, dt)
+    report = validate_tidal(tidal, grid.extent)
+    if not report.ok:
+        raise OutsideValidity("; ".join(report.messages))
+    return report.epsilon
+
+
 def quadratic_form_grid(grid: SpectralGrid, tidal: TidalMatrix) -> np.ndarray:
     """x.R.x sampled on the grid."""
     r = tidal.entries
@@ -143,7 +157,7 @@ def quadratic_form_grid(grid: SpectralGrid, tidal: TidalMatrix) -> np.ndarray:
 
 def kinetic_step(wf: WaveFunction, dt: float) -> WaveFunction:
     """Dispersion step: spectral phases exp(-i k^2 dt / (4 pi mu)); t += dt."""
-    check_kinetic_phase(wf.grid, wf.mass, dt)
+    _check_step(wf.grid, wf.mass, dt)
     spectrum = wf.grid.forward(wf.psi)
     spectrum *= np.exp(-1j * wf.grid.k_squared * (dt / (4.0 * np.pi * wf.mass)))
     return replace(wf, psi=wf.grid.inverse(spectrum), t=wf.t + dt)
@@ -165,12 +179,7 @@ def _tidal_phase_field(grid: SpectralGrid, tidal: TidalMatrix, mass: float,
 def tidal_step(wf: WaveFunction, tidal: TidalMatrix, dt: float,
                exact_rate: bool = False) -> WaveFunction:
     """Clock-rate imprint exp(-i pi mu (x.R.x) dt); time is not advanced."""
-    if tidal.dim != wf.grid.dim:
-        raise ValueError(f"tidal dimension {tidal.dim} does not match grid {wf.grid.dim}")
-    check_tidal_phase(wf.grid, tidal, wf.mass, dt)
-    report = validate_tidal(tidal, wf.grid.extent)
-    if not report.ok:
-        raise OutsideValidity("; ".join(report.messages))
+    _check_step(wf.grid, wf.mass, dt, tidal, kinetic=False)
     phase = _tidal_phase_field(wf.grid, tidal, wf.mass, dt, exact_rate)
     return replace(wf, psi=wf.psi * np.exp(1j * phase))
 
@@ -183,14 +192,34 @@ def _band_mask(grid: SpectralGrid, meshes, cut: float) -> np.ndarray:
     return mask
 
 
+def _margin_slabs(grid: SpectralGrid, cut: float) -> list[tuple[slice, ...]]:
+    """Disjoint slabs that cover the position band |x_i| >= cut exactly.
+
+    Per axis i, the band is an edge run at each end; its two slabs take
+    those runs on axis i, the interior on the axes before i, and everything
+    on the axes after it, so no cell is counted twice.
+    """
+    inside = np.flatnonzero(np.abs(grid.axis_positions) < cut)
+    interior = slice(int(inside[0]), int(inside[-1]) + 1)
+    slabs = []
+    for i in range(grid.dim):
+        for run in (slice(0, interior.start), slice(interior.stop, grid.n)):
+            slabs.append((interior,) * i + (run,) + (slice(None),) * (grid.dim - i - 1))
+    return slabs
+
+
 def evolve(wf: WaveFunction, tidal: TidalMatrix, scheme: StepScheme,
            cfg: EvolveConfig, exact_rate: bool = False) -> MomentSeries:
     """Run the split-step scheme and record moments every ``record_every`` steps.
 
-    The phase factors are precomputed once; each step applies exactly the
-    same multiplications as composing ``tidal_step``/``kinetic_step``.
-    Raises BoundaryContact (with the partial series attached) as soon as more
-    than ``boundary_mass_tol`` probability sits in the margin band.
+    The phase factors are precomputed once; each step applies the same
+    factors as composing ``tidal_step``/``kinetic_step``, equal to them up
+    to roundoff.  The kinetic factor goes between the raw FFT pair: the
+    centre signs S that ``grid.forward``/``inverse`` apply cancel, since
+    S^2 = 1 and the kinetic factor is diagonal, and a +-1 multiply is
+    exact, so the state is bit-identical to a loop through them.  Raises
+    BoundaryContact (with the partial series attached) as soon as more than
+    ``boundary_mass_tol`` probability sits in the margin band.
 
     With ``spectral_mass_tol`` set, the probability in the spectral edge band
     (|k_i| >= 0.9 k_max on any axis) is read off the spectrum each step
@@ -201,13 +230,7 @@ def evolve(wf: WaveFunction, tidal: TidalMatrix, scheme: StepScheme,
     """
     scheme = StepScheme(scheme)
     grid, mass, dt = wf.grid, wf.mass, cfg.dt
-    if tidal.dim != grid.dim:
-        raise ValueError(f"tidal dimension {tidal.dim} does not match grid {grid.dim}")
-    check_kinetic_phase(grid, mass, dt)
-    check_tidal_phase(grid, tidal, mass, dt)
-    report = validate_tidal(tidal, grid.extent)
-    if not report.ok:
-        raise OutsideValidity("; ".join(report.messages))
+    epsilon = _check_step(grid, mass, dt, tidal)
 
     kin = np.exp(-1j * grid.k_squared * (dt / (4.0 * np.pi * mass)))
     # strang: half kick, drift, half kick; lie: drift, full kick
@@ -217,13 +240,23 @@ def evolve(wf: WaveFunction, tidal: TidalMatrix, scheme: StepScheme,
     else:
         tid_first = None
         tid_last = np.exp(1j * _tidal_phase_field(grid, tidal, mass, dt, exact_rate))
-    mask = _band_mask(grid, grid.position_meshes,
-                      grid.extent / 2.0 - cfg.boundary_margin_fraction * grid.extent)
+    if grid.dim == 1:
+        fft, ifft = np.fft.fft, np.fft.ifft
+    else:
+        fft, ifft = np.fft.fftn, np.fft.ifftn
+    slabs = _margin_slabs(grid, grid.extent / 2.0 - cfg.boundary_margin_fraction * grid.extent)
     edge = None
     if cfg.spectral_mass_tol is not None:
         edge = _band_mask(grid, grid.wavenumber_meshes,
                           (1.0 - SPECTRAL_EDGE_FRACTION) * grid.k_max)
     dV = grid.cell_volume
+
+    def margin_mass_of(field: np.ndarray) -> float:
+        total = 0.0
+        for slab in slabs:
+            part = field[slab]
+            total += np.vdot(part, part).real
+        return float(total) * dV
 
     t0 = wf.t
     psi = wf.psi
@@ -241,26 +274,28 @@ def evolve(wf: WaveFunction, tidal: TidalMatrix, scheme: StepScheme,
 
     def partial_series(psi_now: np.ndarray, step: int) -> MomentSeries:
         return _assemble(grid, mass, t0, dt, step, rec_t, rec_norm, rec_x, rec_v,
-                         rec_cov, psi_now, report.epsilon, max_margin_mass, max_edge_mass)
+                         rec_cov, psi_now, epsilon, max_margin_mass, max_edge_mass)
 
     record(0, psi)
-    margin_mass = float((np.abs(psi[mask]) ** 2).sum()) * dV
+    margin_mass = margin_mass_of(psi)
     max_margin_mass = margin_mass
     if margin_mass > cfg.boundary_mass_tol:
         raise BoundaryContact(
             0, f"initial margin mass {margin_mass:.3e} exceeds {cfg.boundary_mass_tol:.1e}",
             partial=partial_series(psi, 0))
 
+    # every product keeps its operand order: numpy's complex multiply is not
+    # bitwise commutative, and outputs are promised byte for byte
     for step in range(1, cfg.n_steps + 1):
         if tid_first is not None:
             psi = tid_first * psi
-        spectrum = grid.forward(psi)
+        spectrum = fft(psi, norm="ortho")
         if edge is not None:
             edge_mass = float((np.abs(spectrum[edge]) ** 2).sum()) * dV
         np.multiply(kin, spectrum, out=spectrum)
-        psi = grid.inverse(spectrum)
-        psi = tid_last * psi
-        margin_mass = float((np.abs(psi[mask]) ** 2).sum()) * dV
+        psi = ifft(spectrum, norm="ortho")
+        np.multiply(tid_last, psi, out=psi)
+        margin_mass = margin_mass_of(psi)
         max_margin_mass = max(max_margin_mass, margin_mass)
         if margin_mass > cfg.boundary_mass_tol:
             raise BoundaryContact(
@@ -278,7 +313,7 @@ def evolve(wf: WaveFunction, tidal: TidalMatrix, scheme: StepScheme,
             record(step, psi)
 
     return _assemble(grid, mass, t0, dt, cfg.n_steps, rec_t, rec_norm, rec_x, rec_v,
-                     rec_cov, psi, report.epsilon, max_margin_mass, max_edge_mass)
+                     rec_cov, psi, epsilon, max_margin_mass, max_edge_mass)
 
 
 def _assemble(grid, mass, t0, dt, last_step, rec_t, rec_norm, rec_x, rec_v, rec_cov,

@@ -10,6 +10,7 @@ from wavefall import (
     VelocityTooHigh,
     dropped_term_scale,
     energy_like,
+    exact_flow,
     match_metric,
     rk4_integrate,
     tidal_acceleration,
@@ -81,6 +82,31 @@ class TestRK4:
         tidal = TidalMatrix([[1e-4]])
         with pytest.raises(VelocityTooHigh):
             rk4_integrate(ClassicalState(x=[12.0], v=[0.0]), tidal, 0.1, 1600)
+
+
+class TestExactFlow:
+    # closed form against the independent RK4 route on the same stamps
+    @pytest.mark.parametrize("entries,x0,v0,n", [
+        ([[1e-4]], [2.0], [0.001], 1570),
+        # eigenvalues ~1.1e-4 and ~-2.1e-4: one oscillating, one growing mode
+        ([[1e-4, 5e-5], [5e-5, -2e-4]], [1.0, -0.5], [0.002, 0.001], 1000),
+        ([[0.0, 0.0], [0.0, 0.0]], [1.0, -2.0], [0.01, 0.003], 1000),
+    ])
+    def test_matches_rk4(self, entries, x0, v0, n):
+        tidal = TidalMatrix(entries)
+        ref = rk4_integrate(ClassicalState(x=x0, v=v0), tidal, 0.1, n)
+        flow = exact_flow(x0, v0, tidal, ref.t)
+        assert np.array_equal(flow.t, ref.t)
+        assert np.max(np.abs(flow.x - ref.x)) < 1e-12
+        assert np.max(np.abs(flow.v - ref.v)) < 1e-12
+
+    def test_speed_guard(self):
+        # the growing mode leaves the low-energy regime, as RK4 does
+        tidal = TidalMatrix([[-1e-4]])
+        with pytest.raises(VelocityTooHigh):
+            rk4_integrate(ClassicalState(x=[2.0], v=[0.0]), tidal, 0.1, 4000)
+        with pytest.raises(VelocityTooHigh):
+            exact_flow([2.0], [0.0], tidal, 0.1 * np.arange(4001))
 
 
 class TestMatchMetric:

@@ -22,6 +22,7 @@ from wavefall import (
     wep_mass_sweep,
     wep_shape_sweep,
 )
+from wavefall import experiments
 
 # -2 pi mu R <x> dt for mu=100, R=1e-4, <x>=2, dt=0.1
 PREDICTED_DK_STD = -0.012566370614359173
@@ -153,16 +154,50 @@ class TestWepSweeps:
         assert "custom_table" in str(info.value)
 
 
-class TestThreadFanout:
-    def test_results_independent_of_worker_count(self, monkeypatch):
+class TestSerialSweep:
+    @staticmethod
+    def _capture(monkeypatch):
+        """One entry per member ``evolve`` call, in call order: its series,
+        or None for a call that raised."""
+        seen = []
+        original = experiments.evolve
+
+        def counting(*args, **kwargs):
+            seen.append(None)
+            series = original(*args, **kwargs)
+            seen[-1] = series
+            return series
+
+        monkeypatch.setattr(experiments, "evolve", counting)
+        return seen
+
+    def test_members_equal_standalone_runs(self, monkeypatch):
         scenario = std_scenario(n_steps=200, record_every=10)
-        masses = (50.0, 100.0)
-        monkeypatch.setenv("SIM_THREADS", "1")
-        serial = wep_mass_sweep(scenario, masses=masses)
-        monkeypatch.setenv("SIM_THREADS", "4")
-        threaded = wep_mass_sweep(scenario, masses=masses)
-        assert np.array_equal(serial.deviations, threaded.deviations)
-        assert np.array_equal(serial.eotvos, threaded.eotvos)
+        shapes = (PacketShape.gaussian(1.0), PacketShape.double_peak(0.7, half_separation=1.2))
+        seen = self._capture(monkeypatch)
+        wep_mass_sweep(scenario, masses=(50.0, 100.0))
+        wep_shape_sweep(scenario, shapes=shapes)
+        monkeypatch.undo()
+        packets = ([scenario.build_packet(mass=m) for m in (50.0, 100.0)]
+                   + [scenario.build_packet(shape=s) for s in shapes])
+        assert len(seen) == len(packets)
+        for member, wf in zip(seen, packets):
+            alone = evolve(wf, scenario.tidal, scenario.scheme, scenario.evolve_cfg)
+            for attr in ("t", "norm", "mean_x", "mean_v", "cov"):
+                assert np.array_equal(getattr(member, attr), getattr(alone, attr))
+            assert np.array_equal(member.final_state.psi, alone.final_state.psi)
+
+    def test_first_failing_member_stops_the_sweep(self, monkeypatch):
+        # mu=100 wraps at step 761 and mu=200 would wrap at step 352, but
+        # members run in list order: mu=200 is never evolved
+        scenario = std_scenario(n_steps=1570, record_every=10, spectral_mass_tol=1e-10)
+        seen = self._capture(monkeypatch)
+        with pytest.raises(SpectralEdgeContact) as info:
+            wep_mass_sweep(scenario, masses=(50.0, 100.0, 200.0))
+        assert str(info.value).startswith("mass=100: spectral edge mass")
+        assert str(info.value).endswith("at step 761")
+        assert info.value.step_index == 761
+        assert len(seen) == 2
 
 
 class TestArmedSpectralMonitor:

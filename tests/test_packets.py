@@ -106,7 +106,6 @@ class TestConstruction:
 
     def test_rest_phase_metadata(self):
         wf = make_packet(std_grid(), PacketShape.gaussian(1.0), [0.0], [0.0], 100.0)
-        assert wf.rest_phase_tracked
         assert wf.rest_phase() == 1.0
         shifted = WaveFunction(grid=wf.grid, psi=wf.psi, mass=wf.mass, t=0.25)
         expected = np.exp(-1j * TWO_PI * 100.0 * 0.25)

@@ -30,6 +30,9 @@ from wavefall import (
     norm,
     tidal_step,
 )
+from wavefall.packets import covariance
+from wavefall.propagate import _band_mask, _margin_slabs, _tidal_phase_field
+from wavefall.spectral import SpectralGrid
 
 TWO_PI = 2.0 * np.pi
 
@@ -124,6 +127,8 @@ class TestTidalStep:
             tidal_step(wf, TidalMatrix([[1.0]]), 1.0)
         with pytest.raises(OutsideValidity):
             tidal_step(wf, TidalMatrix([[5e-4]]), 0.01)
+        with pytest.raises(ValueError):
+            tidal_step(wf, TidalMatrix.zero(2), STD_DT)
 
     def test_exact_rate_variant(self):
         # un-truncated clock-rate imprint differs by the bounded series tail
@@ -261,6 +266,9 @@ class TestEvolve:
         with pytest.raises(OutsideValidity):
             evolve(wf, TidalMatrix([[5e-4]]), StepScheme.STRANG,
                    EvolveConfig(dt=0.01, n_steps=1))
+        with pytest.raises(ValueError):
+            evolve(wf, TidalMatrix.zero(2), StepScheme.STRANG,
+                   EvolveConfig(dt=STD_DT, n_steps=1))
 
     def test_config_validation(self):
         with pytest.raises(StepTooLarge):
@@ -272,6 +280,72 @@ class TestEvolve:
         for tol in (0.0, -1e-10):
             with pytest.raises(ValueError):
                 EvolveConfig(dt=0.1, n_steps=1, spectral_mass_tol=tol)
+
+
+# off-diagonal tidal matrices for the multi-dimensional lean-loop checks
+LEAN_TIDAL = {
+    1: [[1e-4]],
+    2: [[1e-4, 3e-5], [3e-5, -5e-5]],
+    3: [[1e-4, 2e-5, 0.0], [2e-5, -4e-5, 1e-5], [0.0, 1e-5, -6e-5]],
+}
+LEAN_N = {1: 256, 2: 32, 3: 32}
+
+
+def reference_evolve(wf, tidal, scheme, cfg):
+    """Moments and final state of the split-step loop written out through
+    ``grid.forward``/``grid.inverse``, as a reference for ``evolve``."""
+    grid, mass, dt = wf.grid, wf.mass, cfg.dt
+    kin = np.exp(-1j * grid.k_squared * (dt / (4.0 * np.pi * mass)))
+    if scheme is StepScheme.STRANG:
+        first = last = np.exp(1j * _tidal_phase_field(grid, tidal, mass, dt / 2.0, False))
+    else:
+        first, last = None, np.exp(1j * _tidal_phase_field(grid, tidal, mass, dt, False))
+    psi, rows = wf.psi, []
+    for step in range(cfg.n_steps + 1):
+        # each product keeps the loop's operand order: numpy's complex
+        # multiply is not bitwise commutative, and ``a * f(x)`` on a large
+        # temporary may be evaluated in place with the operands swapped
+        if step > 0:
+            if first is not None:
+                psi = first * psi
+            spectrum = grid.forward(psi)
+            np.multiply(kin, spectrum, out=spectrum)
+            psi = grid.inverse(spectrum)
+            psi = last * psi
+        if step % cfg.record_every == 0:
+            view = WaveFunction(grid=grid, psi=psi, mass=mass, t=dt * step)
+            rows.append((view.t, norm(view), mean_position(view),
+                         mean_velocity_spectral(view), covariance(view)))
+    return [np.asarray(col) for col in zip(*rows)], psi
+
+
+class TestLeanLoop:
+    @pytest.mark.parametrize("scheme", [StepScheme.LIE, StepScheme.STRANG])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_raw_transform_pair_matches_reference_to_the_bit(self, dim, scheme):
+        grid = SpectralGrid(dim=dim, n=LEAN_N[dim], extent=20.0)
+        x0 = [1.5, -1.0, 0.5][:dim]
+        v0 = [0.002, -0.001, 0.001][:dim]
+        wf = make_packet(grid, PacketShape.gaussian(1.0), x0, v0, 50.0)
+        tidal = TidalMatrix(LEAN_TIDAL[dim])
+        cfg = EvolveConfig(dt=STD_DT, n_steps=40, record_every=7)
+        series = evolve(wf, tidal, scheme, cfg)
+        (t, nrm, mx, mv, cov), psi = reference_evolve(wf, tidal, scheme, cfg)
+        assert np.array_equal(series.final_state.psi, psi)
+        for got, want in ((series.t, t), (series.norm, nrm), (series.mean_x, mx),
+                          (series.mean_v, mv), (series.cov, cov)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("fraction", [0.1, 0.25])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_margin_slabs_cover_band_once(self, dim, fraction):
+        grid = SpectralGrid(dim=dim, n=LEAN_N[dim], extent=20.0)
+        cut = grid.extent / 2.0 - fraction * grid.extent
+        hits = np.zeros(grid.shape, dtype=int)
+        for slab in _margin_slabs(grid, cut):
+            hits[slab] += 1
+        assert len(_margin_slabs(grid, cut)) == 2 * dim
+        assert np.array_equal(hits, _band_mask(grid, grid.position_meshes, cut).astype(int))
 
 
 def raw_edge_mass(wf):
