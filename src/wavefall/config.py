@@ -29,8 +29,6 @@ _GRID_KEYS = {"dim", "n", "extent"}
 _PACKET_KEYS = {"shape", "params", "x0", "v0", "mass", "table"}
 _SHAPE_KEYS = {"shape", "params", "table"}
 _CURV_KEYS = {"tidal", "vacuum"}
-_EVOLVE_KEYS = {"dt", "steps", "record_every", "scheme",
-                "boundary_margin_fraction", "boundary_mass_tol", "spectral_mass_tol"}
 
 DEFAULT_ORDER_BANDS = {StepScheme.STRANG: (1.8, 2.2), StepScheme.LIE: (0.8, 1.2)}
 
@@ -60,6 +58,12 @@ def _integer(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{where} must be an integer, got {value!r}")
     return value
+
+
+# optional evolve keys, each named as its EvolveConfig field, with its parser
+_EVOLVE_OPTIONS = {"record_every": _integer, "boundary_margin_fraction": _number,
+                   "boundary_mass_tol": _number, "spectral_mass_tol": _number}
+_EVOLVE_KEYS = {"dt", "steps", "scheme", *_EVOLVE_OPTIONS}
 
 
 def _vector(value, dim: int, where: str) -> tuple[float, ...]:
@@ -140,20 +144,13 @@ class ScenarioConfig:
             scheme = StepScheme(scheme_name)
         except ValueError as exc:
             raise ConfigError(f"evolve.scheme must be 'lie' or 'strang', got {scheme_name!r}") from exc
-        spectral_mass_tol = None
-        if "spectral_mass_tol" in eb:
-            spectral_mass_tol = _number(eb["spectral_mass_tol"], "evolve.spectral_mass_tol")
         try:
+            # only the keys present are passed; EvolveConfig holds the defaults
             evolve_cfg = EvolveConfig(
                 dt=_number(eb["dt"], "evolve.dt"),
                 n_steps=_integer(eb["steps"], "evolve.steps"),
-                record_every=_integer(eb.get("record_every", 1), "evolve.record_every"),
-                boundary_margin_fraction=_number(
-                    eb.get("boundary_margin_fraction", 0.1), "evolve.boundary_margin_fraction"),
-                boundary_mass_tol=_number(
-                    eb.get("boundary_mass_tol", 1e-8), "evolve.boundary_mass_tol"),
-                spectral_mass_tol=spectral_mass_tol,
-            )
+                **{key: parse(eb[key], f"evolve.{key}")
+                   for key, parse in _EVOLVE_OPTIONS.items() if key in eb})
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import (
     AliasRisk,
@@ -36,6 +35,9 @@ _RECENTER_TOL = 1e-13
 _RECENTER_ITERS = 8
 
 _KINDS = ("gaussian", "skewed_gaussian", "double_peak", "custom_table")
+
+# the skew factor's erf; it is applied on a sparse axis-0 mesh, so n calls
+_erf = np.vectorize(math.erf, otypes=[float])
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,7 +151,7 @@ def _envelope(grid: SpectralGrid, shape: PacketShape, center: np.ndarray) -> np.
     if shape.kind == "skewed_gaussian":
         s = shape.tail_param
         u0 = (grid.position_meshes[0] - center[0]) / sigma[0]
-        env = env * (1.0 + erf(s * u0 / 2.0))
+        env = env * (1.0 + _erf(s * u0 / 2.0))
     return env
 
 
@@ -170,10 +172,12 @@ def _table_envelope(grid: SpectralGrid, positions: np.ndarray,
     return psi
 
 
-def _raw_moments(grid: SpectralGrid, field: np.ndarray) -> np.ndarray:
-    rho = np.abs(field) ** 2
-    total = rho.sum()
-    return np.array([(xm * rho).sum() / total for xm in grid.position_meshes])
+def _boost(grid: SpectralGrid, psi: np.ndarray, mass: float, v: np.ndarray) -> np.ndarray:
+    """psi times the de Broglie plane wave exp(i 2 pi mass v . x)."""
+    phase = np.zeros(grid.shape)
+    for ax, xm in enumerate(grid.position_meshes):
+        phase = phase + TWO_PI * mass * v[ax] * xm
+    return psi * np.exp(1j * phase)
 
 
 # --- construction ----------------------------------------------------------
@@ -222,48 +226,41 @@ def make_packet(grid: SpectralGrid, shape: PacketShape, x0, v0, mass: float) -> 
     v0 = np.asarray(v0, dtype=float).reshape(-1)
     speed = float(np.linalg.norm(v0))
 
-    if shape.kind == "custom_table":
+    table = shape.kind == "custom_table"
+    if table:
         if grid.dim != 1:
             raise ConfigError("custom_table packets are one-dimensional")
         positions, amplitudes = _load_table(shape.table_path)
-        shift = 0.0
-        env = _table_envelope(grid, positions, amplitudes, shift)
-        for _ in range(_RECENTER_ITERS):
-            if not np.any(env):
-                raise PacketTooWide("amplitude table leaves the grid empty")
-            err = _raw_moments(grid, env) - x0
-            if np.max(np.abs(err)) < _RECENTER_TOL:
-                break
-            shift -= err[0]
-            env = _table_envelope(grid, positions, amplitudes, shift)
-    else:
-        center = x0.copy()
-        env = _envelope(grid, shape, center)
-        for _ in range(_RECENTER_ITERS):
-            err = _raw_moments(grid, env) - x0
-            if np.max(np.abs(err)) < _RECENTER_TOL:
-                break
-            center -= err
-            env = _envelope(grid, shape, center)
+
+    def build(center: np.ndarray) -> np.ndarray:
+        if table:
+            return _table_envelope(grid, positions, amplitudes, center[0])
+        return _envelope(grid, shape, center)
+
+    # a table is shifted from where it stands, an analytic envelope from x0
+    center = np.zeros(1) if table else x0.copy()
+    env = build(center)
+    for _ in range(_RECENTER_ITERS):
+        if table and not np.any(env):
+            raise PacketTooWide("amplitude table leaves the grid empty")
+        err = _centroid(grid.position_meshes, np.abs(env) ** 2) - x0
+        if np.max(np.abs(err)) < _RECENTER_TOL:
+            break
+        center -= err
+        env = build(center)
 
     psi = env.astype(complex)
     if speed > 0:
-        phase = np.zeros(grid.shape)
-        for ax, xm in enumerate(grid.position_meshes):
-            phase = phase + TWO_PI * mass * v0[ax] * xm
-        psi = psi * np.exp(1j * phase)
+        psi = _boost(grid, psi, mass, v0)
     psi = psi / math.sqrt(float((np.abs(psi) ** 2).sum()) * grid.cell_volume)
 
     wf = WaveFunction(grid=grid, psi=psi, mass=mass)
 
-    if shape.kind == "custom_table":
+    if table:
         # one corrective boost: tables may carry an intrinsic phase gradient
         v_err = mean_velocity_spectral(wf) - v0
         if np.max(np.abs(v_err)) > 1e-12:
-            phase = np.zeros(grid.shape)
-            for ax, xm in enumerate(grid.position_meshes):
-                phase = phase - TWO_PI * mass * v_err[ax] * xm
-            wf = replace(wf, psi=wf.psi * np.exp(1j * phase))
+            wf = replace(wf, psi=_boost(grid, wf.psi, mass, -v_err))
 
     x_err = float(np.max(np.abs(mean_position(wf) - x0)))
     v_err = float(np.max(np.abs(mean_velocity_spectral(wf) - v0)))
@@ -276,23 +273,51 @@ def make_packet(grid: SpectralGrid, shape: PacketShape, x0, v0, mass: float) -> 
 
 # --- observables -----------------------------------------------------------
 
+def _centroid(meshes, weight: np.ndarray) -> np.ndarray:
+    """Mean of each broadcastable coordinate mesh under ``weight``."""
+    total = weight.sum()
+    return np.array([(m * weight).sum() / total for m in meshes])
+
+
+def _covariance(grid: SpectralGrid, rho: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    total = rho.sum()
+    cov = np.empty((grid.dim, grid.dim))
+    centered = [xm - mean[ax] for ax, xm in enumerate(grid.position_meshes)]
+    for i in range(grid.dim):
+        for j in range(i + 1):
+            cij = float((centered[i] * centered[j] * rho).sum()) / total
+            cov[i, j] = cov[j, i] = cij
+    return cov
+
+
+def moments(grid: SpectralGrid, psi: np.ndarray, mass: float):
+    """(norm, mean position, spectral mean velocity, covariance) of a field.
+
+    One density and one transform serve all four; each equals its public
+    observable to the bit.  The raw ``fftn`` stands in for ``grid.forward``:
+    the centre signs it omits are +-1 factors that drop out of |A|^2.
+    """
+    rho = np.abs(psi) ** 2
+    mean_x = _centroid(grid.position_meshes, rho)
+    w = np.abs(np.fft.fftn(psi, norm="ortho")) ** 2
+    return (float(rho.sum()) * grid.cell_volume, mean_x,
+            _centroid(grid.wavenumber_meshes, w) / (TWO_PI * mass),
+            _covariance(grid, rho, mean_x))
+
+
 def norm(wf: WaveFunction) -> float:
     """Total probability sum |psi|^2 dV."""
     return float((np.abs(wf.psi) ** 2).sum()) * wf.grid.cell_volume
 
 
 def mean_position(wf: WaveFunction) -> np.ndarray:
-    rho = np.abs(wf.psi) ** 2
-    total = rho.sum()
-    return np.array([(xm * rho).sum() / total for xm in wf.grid.position_meshes])
+    return _centroid(wf.grid.position_meshes, np.abs(wf.psi) ** 2)
 
 
 def mean_velocity_spectral(wf: WaveFunction) -> np.ndarray:
     """<k> / (2 pi mu) from the spectral density |A(k)|^2."""
     w = np.abs(wf.grid.forward(wf.psi)) ** 2
-    total = w.sum()
-    centroid = np.array([(km * w).sum() / total for km in wf.grid.wavenumber_meshes])
-    return centroid / (TWO_PI * wf.mass)
+    return _centroid(wf.grid.wavenumber_meshes, w) / (TWO_PI * wf.mass)
 
 
 def mean_velocity_realspace(wf: WaveFunction) -> np.ndarray:
@@ -313,14 +338,5 @@ def mean_velocity_realspace(wf: WaveFunction) -> np.ndarray:
 
 def covariance(wf: WaveFunction) -> np.ndarray:
     """Second central moments of |psi|^2; symmetric positive semidefinite."""
-    grid = wf.grid
     rho = np.abs(wf.psi) ** 2
-    total = rho.sum()
-    mean = mean_position(wf)
-    cov = np.empty((grid.dim, grid.dim))
-    centered = [xm - mean[ax] for ax, xm in enumerate(grid.position_meshes)]
-    for i in range(grid.dim):
-        for j in range(i + 1):
-            cij = float((centered[i] * centered[j] * rho).sum()) / total
-            cov[i, j] = cov[j, i] = cij
-    return cov
+    return _covariance(wf.grid, rho, _centroid(wf.grid.position_meshes, rho))

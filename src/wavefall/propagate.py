@@ -37,14 +37,7 @@ from .errors import (
     TimestampMismatch,
     TooFewRecords,
 )
-from .packets import (
-    TWO_PI,
-    WaveFunction,
-    covariance,
-    mean_position,
-    mean_velocity_spectral,
-    norm,
-)
+from .packets import TWO_PI, WaveFunction, moments
 from .spectral import SpectralGrid
 
 # the spectral monitor watches |k_i| >= (1 - SPECTRAL_EDGE_FRACTION) k_max
@@ -251,38 +244,64 @@ def evolve(wf: WaveFunction, tidal: TidalMatrix, scheme: StepScheme,
                           (1.0 - SPECTRAL_EDGE_FRACTION) * grid.k_max)
     dV = grid.cell_volume
 
-    def margin_mass_of(field: np.ndarray) -> float:
-        total = 0.0
-        for slab in slabs:
-            part = field[slab]
-            total += np.vdot(part, part).real
-        return float(total) * dV
-
+    # one row per record, allocated once; an abort keeps the rows taken so far
+    every = cfg.record_every
+    n_rows = cfg.n_steps // every + 1
     t0 = wf.t
+    t = t0 + dt * (every * np.arange(n_rows))
+    norms = np.empty(n_rows)
+    mean_x = np.empty((n_rows, grid.dim))
+    mean_v = np.empty((n_rows, grid.dim))
+    cov = np.empty((n_rows, grid.dim, grid.dim))
+    peak = {"margin": 0.0, "edge": None if edge is None else 0.0}
+
+    def series(k: int, psi: np.ndarray, step: int) -> MomentSeries:
+        """The first ``k`` records, with ``psi`` at ``step`` as final state."""
+        v_char = float(np.max(np.linalg.norm(mean_v[:k], axis=1)))
+        diagnostics = {
+            "epsilon": epsilon,
+            "v_char": v_char,
+            # magnitudes of the metric terms the imprint drops, relative to the
+            # retained clock-rate term (cross term ~ (4/3) v; dispersion-curvature
+            # cross ~ (2 pi v)^2 in the p = k/2pi convention)
+            "dropped_cross_term_rel": 4.0 / 3.0 * v_char,
+            "dropped_dispersion_rel": (TWO_PI * v_char) ** 2,
+            "max_margin_mass": peak["margin"],
+            # None when the spectral monitor is off
+            "max_spectral_edge_mass": peak["edge"],
+        }
+        return MomentSeries(
+            t=t[:k], norm=norms[:k], mean_x=mean_x[:k], mean_v=mean_v[:k], cov=cov[:k],
+            final_state=WaveFunction(grid=grid, psi=psi, mass=mass, t=t0 + dt * step),
+            diagnostics=diagnostics)
+
+    def watch(step: int, psi: np.ndarray, edge_mass: float | None = None) -> None:
+        """Update the monitor peaks; past a tolerance, abort with the records
+        taken before ``step`` and ``psi`` as the final state."""
+        margin_mass = 0.0
+        for slab in slabs:
+            part = psi[slab]
+            margin_mass += np.vdot(part, part).real
+        margin_mass = float(margin_mass) * dV
+        peak["margin"] = max(peak["margin"], margin_mass)
+        if margin_mass > cfg.boundary_mass_tol:
+            kind = BoundaryContact
+            text = f"margin mass {margin_mass:.3e} exceeds {cfg.boundary_mass_tol:.1e}"
+        else:
+            if edge_mass is None:
+                return
+            peak["edge"] = max(peak["edge"], edge_mass)
+            if not edge_mass > cfg.spectral_mass_tol:
+                return
+            kind = SpectralEdgeContact
+            text = f"spectral edge mass {edge_mass:.3e} exceeds {cfg.spectral_mass_tol:.1e}"
+        text = f"initial {text}" if step == 0 else f"{text} at step {step}"
+        taken = 1 if step == 0 else (step - 1) // every + 1
+        raise kind(step, text, partial=series(taken, psi, step))
+
     psi = wf.psi
-    rec_t, rec_norm, rec_x, rec_v, rec_cov = [], [], [], [], []
-    max_margin_mass = 0.0
-    max_edge_mass = None if edge is None else 0.0
-
-    def record(step: int, state_psi: np.ndarray) -> None:
-        view = WaveFunction(grid=grid, psi=state_psi, mass=mass, t=t0 + dt * step)
-        rec_t.append(view.t)
-        rec_norm.append(norm(view))
-        rec_x.append(mean_position(view))
-        rec_v.append(mean_velocity_spectral(view))
-        rec_cov.append(covariance(view))
-
-    def partial_series(psi_now: np.ndarray, step: int) -> MomentSeries:
-        return _assemble(grid, mass, t0, dt, step, rec_t, rec_norm, rec_x, rec_v,
-                         rec_cov, psi_now, epsilon, max_margin_mass, max_edge_mass)
-
-    record(0, psi)
-    margin_mass = margin_mass_of(psi)
-    max_margin_mass = margin_mass
-    if margin_mass > cfg.boundary_mass_tol:
-        raise BoundaryContact(
-            0, f"initial margin mass {margin_mass:.3e} exceeds {cfg.boundary_mass_tol:.1e}",
-            partial=partial_series(psi, 0))
+    norms[0], mean_x[0], mean_v[0], cov[0] = moments(grid, psi, mass)
+    watch(0, psi)
 
     # every product keeps its operand order: numpy's complex multiply is not
     # bitwise commutative, and outputs are promised byte for byte
@@ -290,57 +309,18 @@ def evolve(wf: WaveFunction, tidal: TidalMatrix, scheme: StepScheme,
         if tid_first is not None:
             psi = tid_first * psi
         spectrum = fft(psi, norm="ortho")
+        edge_mass = None
         if edge is not None:
             edge_mass = float((np.abs(spectrum[edge]) ** 2).sum()) * dV
         np.multiply(kin, spectrum, out=spectrum)
         psi = ifft(spectrum, norm="ortho")
         np.multiply(tid_last, psi, out=psi)
-        margin_mass = margin_mass_of(psi)
-        max_margin_mass = max(max_margin_mass, margin_mass)
-        if margin_mass > cfg.boundary_mass_tol:
-            raise BoundaryContact(
-                step, f"margin mass {margin_mass:.3e} exceeds "
-                      f"{cfg.boundary_mass_tol:.1e} at step {step}",
-                partial=partial_series(psi, step))
-        if edge is not None:
-            max_edge_mass = max(max_edge_mass, edge_mass)
-            if edge_mass > cfg.spectral_mass_tol:
-                raise SpectralEdgeContact(
-                    step, f"spectral edge mass {edge_mass:.3e} exceeds "
-                          f"{cfg.spectral_mass_tol:.1e} at step {step}",
-                    partial=partial_series(psi, step))
-        if step % cfg.record_every == 0:
-            record(step, psi)
+        watch(step, psi, edge_mass)
+        if step % every == 0:
+            row = step // every
+            norms[row], mean_x[row], mean_v[row], cov[row] = moments(grid, psi, mass)
 
-    return _assemble(grid, mass, t0, dt, cfg.n_steps, rec_t, rec_norm, rec_x, rec_v,
-                     rec_cov, psi, epsilon, max_margin_mass, max_edge_mass)
-
-
-def _assemble(grid, mass, t0, dt, last_step, rec_t, rec_norm, rec_x, rec_v, rec_cov,
-              psi, epsilon, max_margin_mass, max_edge_mass) -> MomentSeries:
-    mean_v = np.asarray(rec_v).reshape(len(rec_t), grid.dim)
-    v_char = float(np.max(np.linalg.norm(mean_v, axis=1))) if len(rec_t) else 0.0
-    diagnostics = {
-        "epsilon": epsilon,
-        "v_char": v_char,
-        # magnitudes of the metric terms the imprint drops, relative to the
-        # retained clock-rate term (cross term ~ (4/3) v; dispersion-curvature
-        # cross ~ (2 pi v)^2 in the p = k/2pi convention)
-        "dropped_cross_term_rel": 4.0 / 3.0 * v_char,
-        "dropped_dispersion_rel": (TWO_PI * v_char) ** 2,
-        "max_margin_mass": max_margin_mass,
-        # None when the spectral monitor is off
-        "max_spectral_edge_mass": max_edge_mass,
-    }
-    return MomentSeries(
-        t=np.asarray(rec_t),
-        norm=np.asarray(rec_norm),
-        mean_x=np.asarray(rec_x).reshape(len(rec_t), grid.dim),
-        mean_v=mean_v,
-        cov=np.asarray(rec_cov).reshape(len(rec_t), grid.dim, grid.dim),
-        final_state=WaveFunction(grid=grid, psi=psi, mass=mass, t=t0 + dt * last_step),
-        diagnostics=diagnostics,
-    )
+    return series(n_rows, psi, cfg.n_steps)
 
 
 def acceleration_series(series: MomentSeries) -> np.ndarray:

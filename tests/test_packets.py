@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import erf
 
 from helpers import npfft_centroid, random_field, std_grid
+import wavefall
 from wavefall import (
     AliasRisk,
     ConfigError,
@@ -19,7 +25,7 @@ from wavefall import (
     mean_velocity_spectral,
     norm,
 )
-from wavefall.packets import _envelope
+from wavefall.packets import _envelope, moments
 
 TWO_PI = 2.0 * np.pi
 
@@ -217,6 +223,18 @@ class TestInvariances:
         assert np.allclose(covariance(rotated), covariance(wf), atol=1e-13)
 
 
+class TestMoments:
+    @pytest.mark.parametrize("dim,n", [(1, 64), (2, 16), (3, 8)])
+    def test_equal_to_the_observables_to_the_bit(self, rng, dim, n):
+        grid = std_grid(n=n, dim=dim)
+        wf = WaveFunction(grid=grid, psi=random_field(grid, rng), mass=37.0)
+        got = moments(grid, wf.psi, wf.mass)
+        want = (norm(wf), mean_position(wf), mean_velocity_spectral(wf), covariance(wf))
+        assert got[0] == want[0]
+        for g, w in zip(got[1:], want[1:]):
+            assert np.array_equal(g, w)
+
+
 class TestNorm:
     def test_unit_norm_and_scaling(self):
         wf = make_packet(std_grid(), PacketShape.gaussian(1.0), [0.0], [0.0], 100.0)
@@ -277,3 +295,12 @@ class TestCustomTable:
         with pytest.raises(ConfigError):
             make_packet(std_grid(n=16, dim=2), PacketShape.from_table(str(table)),
                         [0.0, 0.0], [0.0, 0.0], 100.0)
+
+
+def test_import_leaves_scipy_out():
+    # the package needs numpy alone
+    src = str(Path(wavefall.__file__).resolve().parents[1])
+    code = "import sys, wavefall; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout.strip() == "False"

@@ -245,7 +245,10 @@ class TestEvolve:
         with pytest.raises(BoundaryContact) as info:
             evolve(wf, std_tidal(), StepScheme.STRANG, cfg)
         assert info.value.step_index == 0
-        assert info.value.partial is not None
+        partial = info.value.partial
+        assert partial is not None
+        assert partial.n_records == 1
+        assert partial.final_state.t == 0
 
     def test_boundary_contact_mid_run(self):
         # drifting packet walks into the margin band and aborts with partials
@@ -258,6 +261,20 @@ class TestEvolve:
         assert 0 < exc.step_index < 4000
         assert exc.partial is not None and exc.partial.n_records > 1
         assert np.max(np.abs(exc.partial.norm - 1.0)) < 1e-10
+
+    def test_boundary_contact_mid_run_keeps_every_record_before_the_step(self):
+        # with a record per step, the partial series holds exactly the
+        # records of steps 0 .. step_index - 1
+        grid = std_grid()
+        wf = make_packet(grid, PacketShape.gaussian(1.0), [2.0], [0.05], 30.0)
+        cfg = EvolveConfig(dt=STD_DT, n_steps=4000, record_every=1)
+        with pytest.raises(BoundaryContact) as info:
+            evolve(wf, TidalMatrix.zero(1), StepScheme.STRANG, cfg)
+        exc = info.value
+        assert 0 < exc.step_index < 4000
+        assert exc.partial.n_records == exc.step_index
+        assert np.array_equal(exc.partial.t, STD_DT * np.arange(exc.step_index))
+        assert exc.partial.final_state.t == pytest.approx(exc.step_index * STD_DT)
 
     def test_step_budget_guards(self):
         wf = std_packet(std_grid())
