@@ -290,16 +290,21 @@ def _covariance(grid: SpectralGrid, rho: np.ndarray, mean: np.ndarray) -> np.nda
     return cov
 
 
-def moments(grid: SpectralGrid, psi: np.ndarray, mass: float):
+def moments(grid: SpectralGrid, psi: np.ndarray, mass: float,
+            work: np.ndarray | None = None):
     """(norm, mean position, spectral mean velocity, covariance) of a field.
 
     One density and one transform serve all four; each equals its public
     observable to the bit.  The raw ``fftn`` stands in for ``grid.forward``:
     the centre signs it omits are +-1 factors that drop out of |A|^2.
+
+    ``work``, a complex128 array of ``grid.shape`` that does not overlap
+    ``psi``, receives the transform in place of a newly allocated array;
+    its contents are overwritten.
     """
     rho = np.abs(psi) ** 2
     mean_x = _centroid(grid.position_meshes, rho)
-    w = np.abs(np.fft.fftn(psi, norm="ortho")) ** 2
+    w = np.abs(np.fft.fftn(psi, norm="ortho", out=work)) ** 2
     return (float(rho.sum()) * grid.cell_volume, mean_x,
             _centroid(grid.wavenumber_meshes, w) / (TWO_PI * mass),
             _covariance(grid, rho, mean_x))

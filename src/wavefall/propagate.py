@@ -210,7 +210,14 @@ def evolve(wf: WaveFunction, tidal: TidalMatrix, scheme: StepScheme,
     to roundoff.  The kinetic factor goes between the raw FFT pair: the
     centre signs S that ``grid.forward``/``inverse`` apply cancel, since
     S^2 = 1 and the kinetic factor is diagonal, and a +-1 multiply is
-    exact, so the state is bit-identical to a loop through them.  Raises
+    exact, so the state is bit-identical to a loop through them.
+
+    The run steps in two complex buffers allocated once per call, before the
+    step-0 record: the state, which starts as a copy of ``wf.psi`` (never
+    written), and its spectrum.  The kicks, both transforms and the kinetic
+    factor write into them in place, and each record transforms into the
+    spectrum buffer (``packets.moments``'s work array).  The state buffer
+    becomes the final state of the returned or partial series.  Raises
     BoundaryContact (with the partial series attached) as soon as more than
     ``boundary_mass_tol`` probability sits in the margin band.
 
@@ -299,28 +306,31 @@ def evolve(wf: WaveFunction, tidal: TidalMatrix, scheme: StepScheme,
         taken = 1 if step == 0 else (step - 1) // every + 1
         raise kind(step, text, partial=series(taken, psi, step))
 
-    psi = wf.psi
-    norms[0], mean_x[0], mean_v[0], cov[0] = moments(grid, psi, mass)
-    watch(0, psi)
+    # never reused across calls: the state is handed out as a final state
+    state = wf.psi.copy()
+    spectrum = np.empty_like(state)
+    norms[0], mean_x[0], mean_v[0], cov[0] = moments(grid, state, mass, spectrum)
+    watch(0, state)
 
     # every product keeps its operand order: numpy's complex multiply is not
     # bitwise commutative, and outputs are promised byte for byte
     for step in range(1, cfg.n_steps + 1):
         if tid_first is not None:
-            psi = tid_first * psi
-        spectrum = fft(psi, norm="ortho")
+            np.multiply(tid_first, state, out=state)
+        fft(state, norm="ortho", out=spectrum)
         edge_mass = None
         if edge is not None:
             edge_mass = float((np.abs(spectrum[edge]) ** 2).sum()) * dV
         np.multiply(kin, spectrum, out=spectrum)
-        psi = ifft(spectrum, norm="ortho")
-        np.multiply(tid_last, psi, out=psi)
-        watch(step, psi, edge_mass)
+        ifft(spectrum, norm="ortho", out=state)
+        np.multiply(tid_last, state, out=state)
+        watch(step, state, edge_mass)
         if step % every == 0:
             row = step // every
-            norms[row], mean_x[row], mean_v[row], cov[row] = moments(grid, psi, mass)
+            norms[row], mean_x[row], mean_v[row], cov[row] = moments(
+                grid, state, mass, spectrum)
 
-    return series(n_rows, psi, cfg.n_steps)
+    return series(n_rows, state, cfg.n_steps)
 
 
 def acceleration_series(series: MomentSeries) -> np.ndarray:

@@ -345,13 +345,17 @@ class TestLeanLoop:
         v0 = [0.002, -0.001, 0.001][:dim]
         wf = make_packet(grid, PacketShape.gaussian(1.0), x0, v0, 50.0)
         tidal = TidalMatrix(LEAN_TIDAL[dim])
-        cfg = EvolveConfig(dt=STD_DT, n_steps=40, record_every=7)
-        series = evolve(wf, tidal, scheme, cfg)
-        (t, nrm, mx, mv, cov), psi = reference_evolve(wf, tidal, scheme, cfg)
-        assert np.array_equal(series.final_state.psi, psi)
-        for got, want in ((series.t, t), (series.norm, nrm), (series.mean_x, mx),
-                          (series.mean_v, mv), (series.cov, cov)):
-            assert np.array_equal(got, want)
+        # records and the armed edge monitor read the spectrum buffer the
+        # transforms write; 1e-10 never trips here (peak edge mass <= 1e-15)
+        for every, tol in ((7, None), (1, None), (7, 1e-10), (1, 1e-10)):
+            cfg = EvolveConfig(dt=STD_DT, n_steps=40, record_every=every,
+                               spectral_mass_tol=tol)
+            series = evolve(wf, tidal, scheme, cfg)
+            (t, nrm, mx, mv, cov), psi = reference_evolve(wf, tidal, scheme, cfg)
+            assert np.array_equal(series.final_state.psi, psi)
+            for got, want in ((series.t, t), (series.norm, nrm), (series.mean_x, mx),
+                              (series.mean_v, mv), (series.cov, cov)):
+                assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("fraction", [0.1, 0.25])
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -363,6 +367,38 @@ class TestLeanLoop:
             hits[slab] += 1
         assert len(_margin_slabs(grid, cut)) == 2 * dim
         assert np.array_equal(hits, _band_mask(grid, grid.position_meshes, cut).astype(int))
+
+
+class TestBufferOwnership:
+    # evolve steps in field buffers of its own: the caller's state is only
+    # read, and a state handed out in a series or an abort stays put
+
+    @pytest.mark.parametrize("scheme", [StepScheme.LIE, StepScheme.STRANG])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_inputs_and_handed_out_states_are_never_written(self, dim, scheme):
+        grid = SpectralGrid(dim=dim, n=LEAN_N[dim], extent=20.0)
+        tidal = TidalMatrix(LEAN_TIDAL[dim])
+        cfg = EvolveConfig(dt=STD_DT, n_steps=5)
+        wf = make_packet(grid, PacketShape.gaussian(1.0), [1.5, -1.0, 0.5][:dim],
+                         [0.002, -0.001, 0.001][:dim], 50.0)
+        before = wf.psi.copy()
+        done = evolve(wf, tidal, scheme, cfg)
+        assert wf.psi.tobytes() == before.tobytes()
+        assert not np.shares_memory(done.final_state.psi, wf.psi)
+
+        # a packet drifting into the margin band aborts mid-run
+        drifting = make_packet(grid, PacketShape.gaussian(1.0), [2.0] + [0.0] * (dim - 1),
+                               [0.03] + [0.0] * (dim - 1), 5.0)
+        with pytest.raises(BoundaryContact) as info:
+            evolve(drifting, tidal, scheme,
+                   EvolveConfig(dt=STD_DT, n_steps=400, boundary_mass_tol=2e-9))
+        assert info.value.step_index > 0
+        held = info.value.partial.final_state.psi
+        kept, done_kept = held.copy(), done.final_state.psi.copy()
+
+        evolve(wf, tidal, scheme, cfg)
+        assert held.tobytes() == kept.tobytes()
+        assert done.final_state.psi.tobytes() == done_kept.tobytes()
 
 
 def raw_edge_mass(wf):
