@@ -10,6 +10,15 @@ One line per output:
 
     <command> <config> exit=<code> sha256=<digest>
 
+Three variants of ``configs/standard_1d.json``, written into the temporary
+directory, then take ``run``'s abort paths (exit 3): the armed spectral-edge
+monitor (``SpectralEdgeContact`` at step 761), a packet drifting into the
+margin band (``BoundaryContact`` at step 170) and one released inside it
+(initial ``BoundaryContact``).  Their lines name the changed key and add the
+digest of stderr, which carries the abort message:
+
+    run <config> <key>=<value> exit=<code> sha256=<digest> stderr_sha256=<digest>
+
 Two checkouts give byte-identical outputs exactly when their printouts are
 equal, so a behaviour-neutral change is checked with
 
@@ -19,6 +28,7 @@ equal, so a behaviour-neutral change is checked with
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -27,6 +37,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 COMMANDS = ("wep", "ripple", "converge")
+# (block, key, value) set in configs/standard_1d.json, one aborting run each
+ABORTS = (("evolve", "spectral_mass_tol", 1e-10),
+          ("packet", "v0", [0.03]),
+          ("packet", "x0", [5.0]))
 
 
 def scenarios() -> list[tuple[str, Path]]:
@@ -39,17 +53,29 @@ def scenarios() -> list[tuple[str, Path]]:
     return jobs
 
 
+def run(command: str, config: Path, out: Path) -> tuple[int, str, str]:
+    """Exit code, output digest ("-" when none) and stderr digest of one command."""
+    done = subprocess.run(
+        [sys.executable, "-m", "wavefall", command, "--config", str(config), "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), capture_output=True)
+    digest = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else "-"
+    return done.returncode, digest, hashlib.sha256(done.stderr).hexdigest()
+
+
 def main() -> int:
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     with tempfile.TemporaryDirectory() as tmp:
         for command, config in scenarios():
-            out = Path(tmp) / f"{command}-{config.stem}.out"
-            done = subprocess.run(
-                [sys.executable, "-m", "wavefall", command,
-                 "--config", str(config), "--out", str(out)],
-                env=env, capture_output=True)
-            digest = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else "-"
-            print(f"{command} {config.relative_to(ROOT)} exit={done.returncode} sha256={digest}")
+            code, digest, _ = run(command, config, Path(tmp) / f"{command}-{config.stem}.out")
+            print(f"{command} {config.relative_to(ROOT)} exit={code} sha256={digest}")
+        base = ROOT / "configs" / "standard_1d.json"
+        for block, key, value in ABORTS:
+            doc = json.loads(base.read_text())
+            doc[block][key] = value
+            config = Path(tmp) / f"standard_1d-{key}.json"
+            config.write_text(json.dumps(doc))
+            code, digest, err = run("run", config, Path(tmp) / f"run-{config.stem}.out")
+            print(f"run {base.relative_to(ROOT)} {block}.{key}={json.dumps(value)} "
+                  f"exit={code} sha256={digest} stderr_sha256={err}")
     return 0
 
 

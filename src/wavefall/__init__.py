@@ -74,6 +74,6 @@ from .propagate import (
     kinetic_step,
     tidal_step,
 )
-from .spectral import SpectralGrid, forward_transform, inverse_transform
+from .spectral import SpectralGrid
 
 __version__ = "0.1.0"

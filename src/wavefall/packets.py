@@ -25,7 +25,7 @@ from .errors import (
     PacketTooWide,
     VelocityTooHigh,
 )
-from .spectral import SpectralGrid
+from .spectral import SpectralGrid, transform
 
 TWO_PI = 2.0 * np.pi
 
@@ -295,8 +295,9 @@ def moments(grid: SpectralGrid, psi: np.ndarray, mass: float,
     """(norm, mean position, spectral mean velocity, covariance) of a field.
 
     One density and one transform serve all four; each equals its public
-    observable to the bit.  The raw ``fftn`` stands in for ``grid.forward``:
-    the centre signs it omits are +-1 factors that drop out of |A|^2.
+    observable to the bit.  The index-referenced ``spectral.transform``
+    (bit for bit ``fftn``) stands in for ``grid.forward``: the centre signs
+    it omits are +-1 factors that drop out of |A|^2.
 
     ``work``, a complex128 array of ``grid.shape`` that does not overlap
     ``psi``, receives the transform in place of a newly allocated array;
@@ -304,7 +305,7 @@ def moments(grid: SpectralGrid, psi: np.ndarray, mass: float,
     """
     rho = np.abs(psi) ** 2
     mean_x = _centroid(grid.position_meshes, rho)
-    w = np.abs(np.fft.fftn(psi, norm="ortho", out=work)) ** 2
+    w = np.abs(transform(psi, work)) ** 2
     return (float(rho.sum()) * grid.cell_volume, mean_x,
             _centroid(grid.wavenumber_meshes, w) / (TWO_PI * mass),
             _covariance(grid, rho, mean_x))

@@ -23,6 +23,7 @@ mass enters the spectral edge band.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -38,7 +39,7 @@ from .errors import (
     TooFewRecords,
 )
 from .packets import TWO_PI, WaveFunction, moments
-from .spectral import SpectralGrid
+from .spectral import SpectralGrid, transform
 
 # the spectral monitor watches |k_i| >= (1 - SPECTRAL_EDGE_FRACTION) k_max
 SPECTRAL_EDGE_FRACTION = 0.1
@@ -177,28 +178,40 @@ def tidal_step(wf: WaveFunction, tidal: TidalMatrix, dt: float,
     return replace(wf, psi=wf.psi * np.exp(1j * phase))
 
 
-def _band_mask(grid: SpectralGrid, meshes, cut: float) -> np.ndarray:
-    """Points whose |coordinate| on any axis reaches ``cut``."""
-    mask = np.zeros(grid.shape, dtype=bool)
-    for mesh in meshes:
-        mask = mask | (np.abs(mesh) >= cut)
-    return mask
+def _runs(flags: np.ndarray) -> list[slice]:
+    """Maximal index runs where ``flags`` is True, in index order."""
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], flags.astype(np.int8), [0]))))
+    return [slice(int(a), int(b)) for a, b in zip(edges[::2], edges[1::2])]
 
 
-def _margin_slabs(grid: SpectralGrid, cut: float) -> list[tuple[slice, ...]]:
-    """Disjoint slabs that cover the position band |x_i| >= cut exactly.
+def _band_slabs(grid: SpectralGrid, axis_values: np.ndarray,
+                cut: float) -> list[tuple[slice, ...]]:
+    """Disjoint slabs that cover the band |value_i| >= cut exactly.
 
-    Per axis i, the band is an edge run at each end; its two slabs take
-    those runs on axis i, the interior on the axes before i, and everything
-    on the axes after it, so no cell is counted twice.
+    ``axis_values`` is the per-axis coordinate, positions or wavenumbers;
+    on each axis the band and its complement are index runs (the position
+    margin: one run at each end; the spectral edge in DFT order: one run
+    around N/2).  The slabs of axis i take a band run on axis i, an interior
+    run on each axis before i, and everything on the axes after it, so no
+    cell is counted twice.
     """
-    inside = np.flatnonzero(np.abs(grid.axis_positions) < cut)
-    interior = slice(int(inside[0]), int(inside[-1]) + 1)
+    on = np.abs(axis_values) >= cut
+    band, inside = _runs(on), _runs(~on)
     slabs = []
     for i in range(grid.dim):
-        for run in (slice(0, interior.start), slice(interior.stop, grid.n)):
-            slabs.append((interior,) * i + (run,) + (slice(None),) * (grid.dim - i - 1))
+        rest = (slice(None),) * (grid.dim - i - 1)
+        for head in itertools.product(inside, repeat=i):
+            slabs.extend(head + (run,) + rest for run in band)
     return slabs
+
+
+def _band_mass(values: np.ndarray, slabs: list[tuple[slice, ...]], dV: float) -> float:
+    """sum |values|^2 dV over the slabs."""
+    total = 0.0
+    for slab in slabs:
+        part = values[slab]
+        total += np.vdot(part, part).real
+    return float(total) * dV
 
 
 def evolve(wf: WaveFunction, tidal: TidalMatrix, scheme: StepScheme,
@@ -207,10 +220,12 @@ def evolve(wf: WaveFunction, tidal: TidalMatrix, scheme: StepScheme,
 
     The phase factors are precomputed once; each step applies the same
     factors as composing ``tidal_step``/``kinetic_step``, equal to them up
-    to roundoff.  The kinetic factor goes between the raw FFT pair: the
-    centre signs S that ``grid.forward``/``inverse`` apply cancel, since
-    S^2 = 1 and the kinetic factor is diagonal, and a +-1 multiply is
-    exact, so the state is bit-identical to a loop through them.
+    to roundoff.  The kinetic factor goes between the index-referenced
+    transform pair ``spectral.transform`` (numpy's transform ufuncs, bit for
+    bit ``fftn``/``ifftn``): the centre signs S that ``grid.forward``/
+    ``inverse`` apply cancel, since S^2 = 1 and the kinetic factor is
+    diagonal, and a +-1 multiply is exact, so the state is bit-identical to
+    a loop through them.
 
     The run steps in two complex buffers allocated once per call, before the
     step-0 record: the state, which starts as a copy of ``wf.psi`` (never
@@ -222,11 +237,12 @@ def evolve(wf: WaveFunction, tidal: TidalMatrix, scheme: StepScheme,
     ``boundary_mass_tol`` probability sits in the margin band.
 
     With ``spectral_mass_tol`` set, the probability in the spectral edge band
-    (|k_i| >= 0.9 k_max on any axis) is read off the spectrum each step
-    already transforms, i.e. the state entering the kinetic factor, which
-    is a pure phase and so leaves the band mass unchanged.  More than
-    ``spectral_mass_tol`` there raises SpectralEdgeContact, a BoundaryContact
-    with the same step index and partial series.
+    (|k_i| >= 0.9 k_max on any axis, summed over disjoint slabs like the
+    margin band) is read off the spectrum each step already transforms,
+    i.e. the state entering the kinetic factor, which is a pure phase and
+    so leaves the band mass unchanged.  More than ``spectral_mass_tol``
+    there raises SpectralEdgeContact, a BoundaryContact with the same step
+    index and partial series.
     """
     scheme = StepScheme(scheme)
     grid, mass, dt = wf.grid, wf.mass, cfg.dt
@@ -240,15 +256,12 @@ def evolve(wf: WaveFunction, tidal: TidalMatrix, scheme: StepScheme,
     else:
         tid_first = None
         tid_last = np.exp(1j * _tidal_phase_field(grid, tidal, mass, dt, exact_rate))
-    if grid.dim == 1:
-        fft, ifft = np.fft.fft, np.fft.ifft
-    else:
-        fft, ifft = np.fft.fftn, np.fft.ifftn
-    slabs = _margin_slabs(grid, grid.extent / 2.0 - cfg.boundary_margin_fraction * grid.extent)
+    margin = _band_slabs(grid, grid.axis_positions,
+                         grid.extent / 2.0 - cfg.boundary_margin_fraction * grid.extent)
     edge = None
     if cfg.spectral_mass_tol is not None:
-        edge = _band_mask(grid, grid.wavenumber_meshes,
-                          (1.0 - SPECTRAL_EDGE_FRACTION) * grid.k_max)
+        edge = _band_slabs(grid, grid.axis_wavenumbers,
+                           (1.0 - SPECTRAL_EDGE_FRACTION) * grid.k_max)
     dV = grid.cell_volume
 
     # one row per record, allocated once; an abort keeps the rows taken so far
@@ -285,11 +298,7 @@ def evolve(wf: WaveFunction, tidal: TidalMatrix, scheme: StepScheme,
     def watch(step: int, psi: np.ndarray, edge_mass: float | None = None) -> None:
         """Update the monitor peaks; past a tolerance, abort with the records
         taken before ``step`` and ``psi`` as the final state."""
-        margin_mass = 0.0
-        for slab in slabs:
-            part = psi[slab]
-            margin_mass += np.vdot(part, part).real
-        margin_mass = float(margin_mass) * dV
+        margin_mass = _band_mass(psi, margin, dV)
         peak["margin"] = max(peak["margin"], margin_mass)
         if margin_mass > cfg.boundary_mass_tol:
             kind = BoundaryContact
@@ -317,12 +326,10 @@ def evolve(wf: WaveFunction, tidal: TidalMatrix, scheme: StepScheme,
     for step in range(1, cfg.n_steps + 1):
         if tid_first is not None:
             np.multiply(tid_first, state, out=state)
-        fft(state, norm="ortho", out=spectrum)
-        edge_mass = None
-        if edge is not None:
-            edge_mass = float((np.abs(spectrum[edge]) ** 2).sum()) * dV
+        transform(state, spectrum)
+        edge_mass = None if edge is None else _band_mass(spectrum, edge, dV)
         np.multiply(kin, spectrum, out=spectrum)
-        ifft(spectrum, norm="ortho", out=state)
+        transform(spectrum, state, inverse=True)
         np.multiply(tid_last, state, out=state)
         watch(step, state, edge_mass)
         if step % every == 0:

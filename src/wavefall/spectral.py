@@ -11,14 +11,22 @@ so the coefficients are Fourier amplitudes of the domain-centered field.
 Both directions carry N^(-d/2); discrete Parseval sum|f|^2 == sum|A|^2 holds
 exactly up to rounding.  Complex fields are plain complex128 ndarrays of
 shape ``grid.shape`` (row-major); there is no wrapper type.
+
+``transform`` is the index-referenced unitary FFT the step loop and the
+moment records run on: numpy's transform ufuncs called directly, without
+the per-call argument handling of ``numpy.fft``'s Python functions.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+# private module (numpy >= 2.0) under numpy.fft; imported here so that a numpy
+# that moves it fails at import rather than in the middle of a run
+from numpy.fft import _pocketfft_umath
 
 from .errors import SizeMismatch
 
@@ -119,19 +127,31 @@ class SpectralGrid:
         return field.astype(complex, copy=False)
 
     def forward(self, field: np.ndarray) -> np.ndarray:
+        """Unitary coordinate-referenced DFT of a grid field."""
         field = self._check(field)
         return self._center_signs * np.fft.fftn(field, norm="ortho")
 
     def inverse(self, field: np.ndarray) -> np.ndarray:
+        """Inverse of :meth:`forward`."""
         field = self._check(field)
         return np.fft.ifftn(self._center_signs * field, norm="ortho")
 
 
-def forward_transform(field: np.ndarray, grid: SpectralGrid) -> np.ndarray:
-    """Unitary coordinate-referenced DFT of a grid field."""
-    return grid.forward(field)
+def transform(field: np.ndarray, out: np.ndarray | None = None,
+              inverse: bool = False) -> np.ndarray:
+    """``np.fft.fftn(field, norm="ortho", out=out)``, or ``ifftn`` with
+    ``inverse``, bit for bit, over every axis of ``field``.
 
-
-def inverse_transform(field: np.ndarray, grid: SpectralGrid) -> np.ndarray:
-    """Inverse of :func:`forward_transform`."""
-    return grid.inverse(field)
+    One ufunc call per axis, last axis first as ``fftn`` goes, each scaled by
+    1/sqrt(n) (equal to numpy's ``reciprocal(sqrt(n))``, both correctly
+    rounded).  The first axis writes into ``out`` (allocated when None) and
+    the others transform it in place; ``field`` is only read unless it is
+    ``out``.  Returns ``out``.
+    """
+    ufunc = _pocketfft_umath.ifft if inverse else _pocketfft_umath.fft
+    if out is None:
+        out = np.empty_like(field, dtype=np.result_type(field.dtype, 1j))
+    for ax in range(field.ndim - 1, -1, -1):
+        ufunc(field, 1.0 / math.sqrt(field.shape[ax]), axes=[(ax,), (), (ax,)], out=out)
+        field = out
+    return out

@@ -22,6 +22,9 @@ STD_X0 = 2.0
 STD_DT = 0.1
 QUARTER_PERIOD_STEPS = 1570  # ~ pi / (2 sqrt(R) dt)
 
+# points per axis of the small grids the bit-equality checks run on, by dim
+LEAN_N = {1: 256, 2: 32, 3: 32}
+
 
 def std_grid(n=256, dim=1, extent=STD_L):
     return SpectralGrid(dim=dim, n=n, extent=extent)

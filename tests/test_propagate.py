@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    LEAN_N,
     STD_DT,
     STD_MASS,
     npfft_centroid,
@@ -31,7 +32,7 @@ from wavefall import (
     tidal_step,
 )
 from wavefall.packets import covariance
-from wavefall.propagate import _band_mask, _margin_slabs, _tidal_phase_field
+from wavefall.propagate import SPECTRAL_EDGE_FRACTION, _band_slabs, _tidal_phase_field
 from wavefall.spectral import SpectralGrid
 
 TWO_PI = 2.0 * np.pi
@@ -305,7 +306,6 @@ LEAN_TIDAL = {
     2: [[1e-4, 3e-5], [3e-5, -5e-5]],
     3: [[1e-4, 2e-5, 0.0], [2e-5, -4e-5, 1e-5], [0.0, 1e-5, -6e-5]],
 }
-LEAN_N = {1: 256, 2: 32, 3: 32}
 
 
 def reference_evolve(wf, tidal, scheme, cfg):
@@ -357,16 +357,29 @@ class TestLeanLoop:
                               (series.mean_v, mv), (series.cov, cov)):
                 assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("fraction", [0.1, 0.25])
+    # the position margin bands evolve watches at two margin fractions, and
+    # the spectral edge band: two edge runs per axis, or one run around N/2
+    @pytest.mark.parametrize("space,fraction", [
+        ("position", 0.1), ("position", 0.25), ("spectral", SPECTRAL_EDGE_FRACTION)],
+        ids=["0.1", "0.25", "spectral"])
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_margin_slabs_cover_band_once(self, dim, fraction):
+    def test_margin_slabs_cover_band_once(self, dim, space, fraction):
         grid = SpectralGrid(dim=dim, n=LEAN_N[dim], extent=20.0)
-        cut = grid.extent / 2.0 - fraction * grid.extent
+        if space == "position":
+            values, meshes = grid.axis_positions, grid.position_meshes
+            cut, count = grid.extent / 2.0 - fraction * grid.extent, 2 * dim
+        else:
+            values, meshes = grid.axis_wavenumbers, grid.wavenumber_meshes
+            cut, count = (1.0 - fraction) * grid.k_max, 2 ** dim - 1
+        band = np.zeros(grid.shape, dtype=bool)
+        for mesh in meshes:
+            band = band | (np.abs(mesh) >= cut)
+        slabs = _band_slabs(grid, values, cut)
         hits = np.zeros(grid.shape, dtype=int)
-        for slab in _margin_slabs(grid, cut):
+        for slab in slabs:
             hits[slab] += 1
-        assert len(_margin_slabs(grid, cut)) == 2 * dim
-        assert np.array_equal(hits, _band_mask(grid, grid.position_meshes, cut).astype(int))
+        assert len(slabs) == count
+        assert np.array_equal(hits, band.astype(int))
 
 
 class TestBufferOwnership:

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_dft, random_field
-from wavefall import SizeMismatch, SpectralGrid, forward_transform, inverse_transform
+from helpers import LEAN_N, brute_dft, random_field
+from wavefall import SizeMismatch, SpectralGrid
+from wavefall.spectral import transform
 
 
 class TestLattice:
@@ -40,14 +41,14 @@ class TestTransforms:
         g = SpectralGrid(dim=1, n=8, extent=4.0)
         f = np.zeros(8, dtype=complex)
         f[0] = 1.0
-        spec = forward_transform(f, g)
+        spec = g.forward(f)
         assert np.allclose(np.abs(spec), 8 ** -0.5, atol=1e-15)
 
     def test_plane_wave_is_single_mode(self):
         g = SpectralGrid(dim=1, n=16, extent=8.0)
         k1 = g.axis_wavenumbers[3]
         f = np.exp(1j * k1 * g.axis_positions)
-        spec = forward_transform(f, g)
+        spec = g.forward(f)
         assert abs(spec[3]) == pytest.approx(np.sqrt(16), rel=1e-12)
         rest = np.delete(spec, 3)
         assert np.max(np.abs(rest)) < 1e-12
@@ -56,33 +57,33 @@ class TestTransforms:
         g = SpectralGrid(dim=1, n=16, extent=8.0)
         spec = np.zeros(16, dtype=complex)
         spec[5] = 1.0
-        f = inverse_transform(spec, g)
+        f = g.inverse(spec)
         assert np.allclose(np.abs(f), 16 ** -0.5, atol=1e-15)
 
     def test_zero_roundtrip(self):
         g = SpectralGrid(dim=1, n=8, extent=1.0)
         z = np.zeros(8, dtype=complex)
-        assert np.array_equal(forward_transform(z, g), z)
-        assert np.array_equal(inverse_transform(z, g), z)
+        assert np.array_equal(g.forward(z), z)
+        assert np.array_equal(g.inverse(z), z)
 
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("n", [8, 10, 12, 14, 16])
     def test_against_brute_force_dft(self, dim, n, rng):
         g = SpectralGrid(dim=dim, n=n, extent=3.0)
         f = random_field(g, rng, normalized=False)
-        assert np.max(np.abs(forward_transform(f, g) - brute_dft(f, g))) < 1e-10
+        assert np.max(np.abs(g.forward(f) - brute_dft(f, g))) < 1e-10
 
     def test_roundtrip_identity(self, rng):
         for n in (16, 256):
             g = SpectralGrid(dim=1, n=n, extent=20.0)
             f = random_field(g, rng, normalized=False)
-            back = inverse_transform(forward_transform(f, g), g)
+            back = g.inverse(g.forward(f))
             assert np.max(np.abs(back - f)) < 1e-12
 
     def test_parseval(self, rng):
         g = SpectralGrid(dim=2, n=16, extent=5.0)
         f = random_field(g, rng, normalized=False)
-        spec = forward_transform(f, g)
+        spec = g.forward(f)
         a = (np.abs(f) ** 2).sum() * g.cell_volume
         b = (np.abs(spec) ** 2).sum() * g.cell_volume
         assert a == pytest.approx(b, rel=1e-13)
@@ -98,13 +99,32 @@ class TestTransforms:
         h = random_field(g, local, normalized=False)
         alpha = alpha_re + 1j * alpha_im
         beta = beta_re + 1j * beta_im
-        lhs = forward_transform(alpha * f + beta * h, g)
-        rhs = alpha * forward_transform(f, g) + beta * forward_transform(h, g)
+        lhs = g.forward(alpha * f + beta * h)
+        rhs = alpha * g.forward(f) + beta * g.forward(h)
         assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(1.0, abs(alpha) + abs(beta))
 
     def test_size_mismatch(self):
         g = SpectralGrid(dim=1, n=8, extent=1.0)
         with pytest.raises(SizeMismatch):
-            forward_transform(np.zeros(9, dtype=complex), g)
+            g.forward(np.zeros(9, dtype=complex))
         with pytest.raises(SizeMismatch):
-            inverse_transform(np.zeros((8, 8), dtype=complex), g)
+            g.inverse(np.zeros((8, 8), dtype=complex))
+
+
+class TestTransformUfuncs:
+    # the step loop and the moment records transform through numpy's ufuncs
+    # directly; they must stay numpy's public fftn/ifftn to the bit
+
+    @pytest.mark.parametrize("inverse", [False, True])
+    @pytest.mark.parametrize("dim,n", [(1, 8), (1, 512), (1, 768),
+                                       (2, LEAN_N[2]), (3, LEAN_N[3])])
+    def test_equals_numpy_fftn_to_the_bit(self, dim, n, inverse, rng):
+        g = SpectralGrid(dim=dim, n=n, extent=20.0)
+        f = random_field(g, rng, normalized=False)
+        kept = f.copy()
+        want = (np.fft.ifftn if inverse else np.fft.fftn)(f, norm="ortho")
+        out = np.empty_like(f)
+        assert transform(f, out, inverse=inverse) is out
+        assert np.array_equal(out, want)
+        assert np.array_equal(transform(f, inverse=inverse), want)
+        assert f.tobytes() == kept.tobytes()
