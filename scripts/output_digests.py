@@ -10,6 +10,11 @@ One line per output:
 
     <command> <config> exit=<code> sha256=<digest>
 
+No shipped config is 2D, so a generated 2D ``run`` scenario with an
+off-diagonal tidal matrix (``RUN_2D``, 64^2, 400 Strang steps) is written
+into the temporary directory and printed the same way, as
+``run <generated>/run_2d.json``.
+
 Three variants of ``configs/standard_1d.json``, written into the temporary
 directory, then take ``run``'s abort paths (exit 3): the armed spectral-edge
 monitor (``SpectralEdgeContact`` at step 761), a packet drifting into the
@@ -41,6 +46,13 @@ COMMANDS = ("wep", "ripple", "converge")
 ABORTS = (("evolve", "spectral_mass_tol", 1e-10),
           ("packet", "v0", [0.03]),
           ("packet", "x0", [5.0]))
+RUN_2D = {
+    "grid": {"dim": 2, "n": 64, "extent": 20.0},
+    "packet": {"shape": "gaussian", "params": [1.0], "x0": [2.0, -1.0],
+               "v0": [0.002, 0.001], "mass": 100.0},
+    "curvature": {"tidal": [1e-4, 3e-5, 3e-5, -5e-5], "vacuum": False},
+    "evolve": {"dt": 0.1, "steps": 400, "record_every": 10, "scheme": "strang"},
+}
 
 
 def scenarios() -> list[tuple[str, Path]]:
@@ -67,6 +79,10 @@ def main() -> int:
         for command, config in scenarios():
             code, digest, _ = run(command, config, Path(tmp) / f"{command}-{config.stem}.out")
             print(f"{command} {config.relative_to(ROOT)} exit={code} sha256={digest}")
+        config = Path(tmp) / "run_2d.json"
+        config.write_text(json.dumps(RUN_2D))
+        code, digest, _ = run("run", config, Path(tmp) / "run-run_2d.out")
+        print(f"run <generated>/{config.name} exit={code} sha256={digest}")
         base = ROOT / "configs" / "standard_1d.json"
         for block, key, value in ABORTS:
             doc = json.loads(base.read_text())

@@ -5,12 +5,10 @@ trajectory independently of mass and envelope shape."""
 from .classical import (
     ClassicalState,
     TrajectorySeries,
-    dropped_term_scale,
     energy_like,
     exact_flow,
     match_metric,
     rk4_integrate,
-    tidal_acceleration,
 )
 from .config import ScenarioConfig, load_scenario
 from .curvature import (

@@ -58,11 +58,6 @@ class TrajectorySeries:
         return TrajectorySeries(self.t[::stride], self.x[::stride], self.v[::stride])
 
 
-def tidal_acceleration(x, tidal: TidalMatrix) -> np.ndarray:
-    """-R . x"""
-    return -tidal.apply(x)
-
-
 def rk4_integrate(state: ClassicalState, tidal: TidalMatrix, dt: float,
                   n_steps: int) -> TrajectorySeries:
     """Classic fourth-order Runge-Kutta on (x' = v, v' = -R x)."""
@@ -145,11 +140,3 @@ def energy_like(series: TrajectorySeries, tidal: TidalMatrix) -> np.ndarray:
     pot = 0.5 * np.einsum("ni,ij,nj->n", series.x, tidal.entries, series.x)
     return kin + pot
 
-
-def dropped_term_scale(series: TrajectorySeries, tidal: TidalMatrix) -> float:
-    """Magnitude of the velocity-dependent correction the linearized tidal
-    equation drops, max|x| max|v| max|R|, relative to nothing: a diagnostic
-    for tolerance budgets, not a model term."""
-    return (float(np.max(np.abs(series.x), initial=0.0))
-            * float(np.max(np.abs(series.v), initial=0.0))
-            * tidal.max_abs())

@@ -36,10 +36,6 @@ from .propagate import MomentSeries, evolve
 RIPPLE_PASS_TOL = 1e-8
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def _write_series_csv(path: str, scenario: ScenarioConfig, series: MomentSeries,
                       classical_x: np.ndarray, aborted: str | None = None) -> None:
     d = scenario.grid.dim
@@ -51,13 +47,11 @@ def _write_series_csv(path: str, scenario: ScenarioConfig, series: MomentSeries,
             + ["dev"])
     lines = ["# config: " + json.dumps(scenario.resolved(), sort_keys=True),
              ",".join(cols)]
-    for r in range(series.n_records):
-        dev = float(np.linalg.norm(series.mean_x[r] - classical_x[r]))
-        row = ([series.t[r], series.norm[r]]
-               + list(series.mean_x[r]) + list(series.mean_v[r])
-               + list(series.cov[r].reshape(-1))
-               + list(classical_x[r]) + [dev])
-        lines.append(",".join(_fmt(v) for v in row))
+    # per-row norms: a vector's norm is sqrt(dot), the axis form sums squares
+    dev = [np.linalg.norm(x - c) for x, c in zip(series.mean_x, classical_x)]
+    table = np.column_stack((series.t, series.norm, series.mean_x, series.mean_v,
+                             series.cov.reshape(series.n_records, -1), classical_x, dev))
+    lines.extend(",".join(map(repr, row)) for row in table.tolist())
     if aborted:
         lines.append(f"# aborted: {aborted}")
     with open(path, "w", encoding="utf-8") as fh:

@@ -243,7 +243,8 @@ def make_packet(grid: SpectralGrid, shape: PacketShape, x0, v0, mass: float) -> 
     for _ in range(_RECENTER_ITERS):
         if table and not np.any(env):
             raise PacketTooWide("amplitude table leaves the grid empty")
-        err = _centroid(grid.position_meshes, np.abs(env) ** 2) - x0
+        rho = np.abs(env) ** 2
+        err = _centroid(grid.position_meshes, rho, rho.sum()) - x0
         if np.max(np.abs(err)) < _RECENTER_TOL:
             break
         center -= err
@@ -273,14 +274,14 @@ def make_packet(grid: SpectralGrid, shape: PacketShape, x0, v0, mass: float) -> 
 
 # --- observables -----------------------------------------------------------
 
-def _centroid(meshes, weight: np.ndarray) -> np.ndarray:
-    """Mean of each broadcastable coordinate mesh under ``weight``."""
-    total = weight.sum()
+def _centroid(meshes, weight: np.ndarray, total) -> np.ndarray:
+    """Mean of each broadcastable coordinate mesh under ``weight``, whose
+    sum is ``total``."""
     return np.array([(m * weight).sum() / total for m in meshes])
 
 
-def _covariance(grid: SpectralGrid, rho: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    total = rho.sum()
+def _covariance(grid: SpectralGrid, rho: np.ndarray, total,
+                mean: np.ndarray) -> np.ndarray:
     cov = np.empty((grid.dim, grid.dim))
     centered = [xm - mean[ax] for ax, xm in enumerate(grid.position_meshes)]
     for i in range(grid.dim):
@@ -294,8 +295,10 @@ def moments(grid: SpectralGrid, psi: np.ndarray, mass: float,
             work: np.ndarray | None = None):
     """(norm, mean position, spectral mean velocity, covariance) of a field.
 
-    One density and one transform serve all four; each equals its public
-    observable to the bit.  The index-referenced ``spectral.transform``
+    One density and one transform serve all four, and each density is
+    summed once; each result equals its public observable to the bit, since
+    the products keep their operand order and every sum is the same
+    pairwise ``.sum()``.  The index-referenced ``spectral.transform``
     (bit for bit ``fftn``) stands in for ``grid.forward``: the centre signs
     it omits are +-1 factors that drop out of |A|^2.
 
@@ -304,11 +307,12 @@ def moments(grid: SpectralGrid, psi: np.ndarray, mass: float,
     its contents are overwritten.
     """
     rho = np.abs(psi) ** 2
-    mean_x = _centroid(grid.position_meshes, rho)
+    total = rho.sum()
+    mean_x = _centroid(grid.position_meshes, rho, total)
     w = np.abs(transform(psi, work)) ** 2
-    return (float(rho.sum()) * grid.cell_volume, mean_x,
-            _centroid(grid.wavenumber_meshes, w) / (TWO_PI * mass),
-            _covariance(grid, rho, mean_x))
+    return (float(total) * grid.cell_volume, mean_x,
+            _centroid(grid.wavenumber_meshes, w, w.sum()) / (TWO_PI * mass),
+            _covariance(grid, rho, total, mean_x))
 
 
 def norm(wf: WaveFunction) -> float:
@@ -317,13 +321,14 @@ def norm(wf: WaveFunction) -> float:
 
 
 def mean_position(wf: WaveFunction) -> np.ndarray:
-    return _centroid(wf.grid.position_meshes, np.abs(wf.psi) ** 2)
+    rho = np.abs(wf.psi) ** 2
+    return _centroid(wf.grid.position_meshes, rho, rho.sum())
 
 
 def mean_velocity_spectral(wf: WaveFunction) -> np.ndarray:
     """<k> / (2 pi mu) from the spectral density |A(k)|^2."""
     w = np.abs(wf.grid.forward(wf.psi)) ** 2
-    return _centroid(wf.grid.wavenumber_meshes, w) / (TWO_PI * wf.mass)
+    return _centroid(wf.grid.wavenumber_meshes, w, w.sum()) / (TWO_PI * wf.mass)
 
 
 def mean_velocity_realspace(wf: WaveFunction) -> np.ndarray:
@@ -345,4 +350,5 @@ def mean_velocity_realspace(wf: WaveFunction) -> np.ndarray:
 def covariance(wf: WaveFunction) -> np.ndarray:
     """Second central moments of |psi|^2; symmetric positive semidefinite."""
     rho = np.abs(wf.psi) ** 2
-    return _covariance(wf.grid, rho, _centroid(wf.grid.position_meshes, rho))
+    total = rho.sum()
+    return _covariance(wf.grid, rho, total, _centroid(wf.grid.position_meshes, rho, total))

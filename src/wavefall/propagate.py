@@ -205,11 +205,10 @@ def _band_slabs(grid: SpectralGrid, axis_values: np.ndarray,
     return slabs
 
 
-def _band_mass(values: np.ndarray, slabs: list[tuple[slice, ...]], dV: float) -> float:
-    """sum |values|^2 dV over the slabs."""
+def _band_mass(parts: list[np.ndarray], dV: float) -> float:
+    """sum |values|^2 dV over slab views of one field, slab by slab."""
     total = 0.0
-    for slab in slabs:
-        part = values[slab]
+    for part in parts:
         total += np.vdot(part, part).real
     return float(total) * dV
 
@@ -243,6 +242,11 @@ def evolve(wf: WaveFunction, tidal: TidalMatrix, scheme: StepScheme,
     so leaves the band mass unchanged.  More than ``spectral_mass_tol``
     there raises SpectralEdgeContact, a BoundaryContact with the same step
     index and partial series.
+
+    Both monitors sum over slab views taken once on the two buffers, and
+    each keeps its peak in a local that the step compares against; the
+    abort path runs only when a peak passes its tolerance, so a run that
+    never trips pays no per-step call beyond the slab sums.
     """
     scheme = StepScheme(scheme)
     grid, mass, dt = wf.grid, wf.mass, cfg.dt
@@ -256,12 +260,6 @@ def evolve(wf: WaveFunction, tidal: TidalMatrix, scheme: StepScheme,
     else:
         tid_first = None
         tid_last = np.exp(1j * _tidal_phase_field(grid, tidal, mass, dt, exact_rate))
-    margin = _band_slabs(grid, grid.axis_positions,
-                         grid.extent / 2.0 - cfg.boundary_margin_fraction * grid.extent)
-    edge = None
-    if cfg.spectral_mass_tol is not None:
-        edge = _band_slabs(grid, grid.axis_wavenumbers,
-                           (1.0 - SPECTRAL_EDGE_FRACTION) * grid.k_max)
     dV = grid.cell_volume
 
     # one row per record, allocated once; an abort keeps the rows taken so far
@@ -273,10 +271,22 @@ def evolve(wf: WaveFunction, tidal: TidalMatrix, scheme: StepScheme,
     mean_x = np.empty((n_rows, grid.dim))
     mean_v = np.empty((n_rows, grid.dim))
     cov = np.empty((n_rows, grid.dim, grid.dim))
-    peak = {"margin": 0.0, "edge": None if edge is None else 0.0}
 
-    def series(k: int, psi: np.ndarray, step: int) -> MomentSeries:
-        """The first ``k`` records, with ``psi`` at ``step`` as final state."""
+    # never reused across calls: the state is handed out as a final state
+    state = wf.psi.copy()
+    spectrum = np.empty_like(state)
+    margin = [state[slab] for slab in _band_slabs(
+        grid, grid.axis_positions,
+        grid.extent / 2.0 - cfg.boundary_margin_fraction * grid.extent)]
+    margin_tol, edge_tol = cfg.boundary_mass_tol, cfg.spectral_mass_tol
+    edge = []
+    if edge_tol is not None:
+        edge = [spectrum[slab] for slab in _band_slabs(
+            grid, grid.axis_wavenumbers, (1.0 - SPECTRAL_EDGE_FRACTION) * grid.k_max)]
+
+    def series(k: int, step: int, peak_margin: float,
+               peak_edge: float | None) -> MomentSeries:
+        """The first ``k`` records, with the state at ``step`` as final state."""
         v_char = float(np.max(np.linalg.norm(mean_v[:k], axis=1)))
         diagnostics = {
             "epsilon": epsilon,
@@ -286,40 +296,28 @@ def evolve(wf: WaveFunction, tidal: TidalMatrix, scheme: StepScheme,
             # cross ~ (2 pi v)^2 in the p = k/2pi convention)
             "dropped_cross_term_rel": 4.0 / 3.0 * v_char,
             "dropped_dispersion_rel": (TWO_PI * v_char) ** 2,
-            "max_margin_mass": peak["margin"],
+            "max_margin_mass": peak_margin,
             # None when the spectral monitor is off
-            "max_spectral_edge_mass": peak["edge"],
+            "max_spectral_edge_mass": peak_edge,
         }
         return MomentSeries(
             t=t[:k], norm=norms[:k], mean_x=mean_x[:k], mean_v=mean_v[:k], cov=cov[:k],
-            final_state=WaveFunction(grid=grid, psi=psi, mass=mass, t=t0 + dt * step),
+            final_state=WaveFunction(grid=grid, psi=state, mass=mass, t=t0 + dt * step),
             diagnostics=diagnostics)
 
-    def watch(step: int, psi: np.ndarray, edge_mass: float | None = None) -> None:
-        """Update the monitor peaks; past a tolerance, abort with the records
-        taken before ``step`` and ``psi`` as the final state."""
-        margin_mass = _band_mass(psi, margin, dV)
-        peak["margin"] = max(peak["margin"], margin_mass)
-        if margin_mass > cfg.boundary_mass_tol:
-            kind = BoundaryContact
-            text = f"margin mass {margin_mass:.3e} exceeds {cfg.boundary_mass_tol:.1e}"
-        else:
-            if edge_mass is None:
-                return
-            peak["edge"] = max(peak["edge"], edge_mass)
-            if not edge_mass > cfg.spectral_mass_tol:
-                return
-            kind = SpectralEdgeContact
-            text = f"spectral edge mass {edge_mass:.3e} exceeds {cfg.spectral_mass_tol:.1e}"
+    def abort(kind: type, text: str, step: int, peak_margin: float,
+              peak_edge: float | None) -> None:
+        """Raise ``kind`` with the records taken before ``step``."""
         text = f"initial {text}" if step == 0 else f"{text} at step {step}"
         taken = 1 if step == 0 else (step - 1) // every + 1
-        raise kind(step, text, partial=series(taken, psi, step))
+        raise kind(step, text, partial=series(taken, step, peak_margin, peak_edge))
 
-    # never reused across calls: the state is handed out as a final state
-    state = wf.psi.copy()
-    spectrum = np.empty_like(state)
     norms[0], mean_x[0], mean_v[0], cov[0] = moments(grid, state, mass, spectrum)
-    watch(0, state)
+    peak_margin = _band_mass(margin, dV)
+    peak_edge = None if edge_tol is None else 0.0
+    if peak_margin > margin_tol:
+        abort(BoundaryContact, f"margin mass {peak_margin:.3e} exceeds {margin_tol:.1e}",
+              0, peak_margin, peak_edge)
 
     # every product keeps its operand order: numpy's complex multiply is not
     # bitwise commutative, and outputs are promised byte for byte
@@ -327,17 +325,31 @@ def evolve(wf: WaveFunction, tidal: TidalMatrix, scheme: StepScheme,
         if tid_first is not None:
             np.multiply(tid_first, state, out=state)
         transform(state, spectrum)
-        edge_mass = None if edge is None else _band_mass(spectrum, edge, dV)
+        if edge:
+            edge_mass = _band_mass(edge, dV)
         np.multiply(kin, spectrum, out=spectrum)
         transform(spectrum, state, inverse=True)
         np.multiply(tid_last, state, out=state)
-        watch(step, state, edge_mass)
+        # a mass past its tolerance is past every earlier one, hence a new peak
+        margin_mass = _band_mass(margin, dV)
+        if margin_mass > peak_margin:
+            peak_margin = margin_mass
+            if margin_mass > margin_tol:
+                abort(BoundaryContact,
+                      f"margin mass {margin_mass:.3e} exceeds {margin_tol:.1e}",
+                      step, peak_margin, peak_edge)
+        if edge and edge_mass > peak_edge:
+            peak_edge = edge_mass
+            if edge_mass > edge_tol:
+                abort(SpectralEdgeContact,
+                      f"spectral edge mass {edge_mass:.3e} exceeds {edge_tol:.1e}",
+                      step, peak_margin, peak_edge)
         if step % every == 0:
             row = step // every
             norms[row], mean_x[row], mean_v[row], cov[row] = moments(
                 grid, state, mass, spectrum)
 
-    return series(n_rows, state, cfg.n_steps)
+    return series(n_rows, cfg.n_steps, peak_margin, peak_edge)
 
 
 def acceleration_series(series: MomentSeries) -> np.ndarray:

@@ -144,13 +144,16 @@ def transform(field: np.ndarray, out: np.ndarray | None = None,
 
     One ufunc call per axis, last axis first as ``fftn`` goes, each scaled by
     1/sqrt(n) (equal to numpy's ``reciprocal(sqrt(n))``, both correctly
-    rounded).  The first axis writes into ``out`` (allocated when None) and
-    the others transform it in place; ``field`` is only read unless it is
-    ``out``.  Returns ``out``.
+    rounded); a 1D field takes one call on the ufunc's default axis.  The
+    first axis writes into ``out`` (allocated when None) and the others
+    transform it in place; ``field`` is only read unless it is ``out``.
+    Returns ``out``.
     """
     ufunc = _pocketfft_umath.ifft if inverse else _pocketfft_umath.fft
     if out is None:
         out = np.empty_like(field, dtype=np.result_type(field.dtype, 1j))
+    if field.ndim == 1:
+        return ufunc(field, 1.0 / math.sqrt(field.shape[0]), out=out)
     for ax in range(field.ndim - 1, -1, -1):
         ufunc(field, 1.0 / math.sqrt(field.shape[ax]), axes=[(ax,), (), (ax,)], out=out)
         field = out

@@ -8,29 +8,11 @@ from wavefall import (
     TimestampMismatch,
     TrajectorySeries,
     VelocityTooHigh,
-    dropped_term_scale,
     energy_like,
     exact_flow,
     match_metric,
     rk4_integrate,
-    tidal_acceleration,
 )
-
-
-class TestTidalAcceleration:
-    def test_zero_cases(self):
-        tidal = TidalMatrix([[1e-4]])
-        assert tidal_acceleration([0.0], tidal) == pytest.approx([0.0])
-        assert tidal_acceleration([3.0], TidalMatrix.zero(1)) == pytest.approx([0.0])
-
-    def test_arithmetic(self):
-        assert tidal_acceleration([2.0], TidalMatrix([[1e-4]]))[0] == pytest.approx(
-            -2e-4, abs=1e-18)
-
-    def test_matrix_coupling(self):
-        tidal = TidalMatrix([[0.0, 1e-4], [1e-4, 0.0]])
-        acc = tidal_acceleration([1.0, 2.0], tidal)
-        assert np.allclose(acc, [-2e-4, -1e-4], atol=1e-18)
 
 
 class TestRK4:
@@ -133,11 +115,3 @@ class TestMatchMetric:
         assert traj.t.shape[0] == 6
         assert traj.t[1] == pytest.approx(0.2)
 
-
-class TestDiagnostics:
-    def test_dropped_term_scale(self):
-        tidal = TidalMatrix([[1e-4]])
-        traj = rk4_integrate(ClassicalState(x=[2.0], v=[0.0]), tidal, 0.1, 1570)
-        scale = dropped_term_scale(traj, tidal)
-        # max|x| ~ 2, max|v| ~ omega x0 = 0.02, max|R| = 1e-4
-        assert scale == pytest.approx(2.0 * 0.02 * 1e-4, rel=1e-3)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from wavefall import ConfigError, ScenarioConfig
+from wavefall import BoundaryContact, ConfigError, ScenarioConfig, evolve, exact_flow
 from wavefall.cli import main
 
 
@@ -146,6 +146,55 @@ class TestRunCommand:
         _, _, rows = read_csv(out)
         assert 1 < rows.shape[0] < 158
         assert "SpectralEdgeContact" in capsys.readouterr().err
+
+
+def doc_2d(**packet):
+    """A 2D scenario on a 32^2 grid with an off-diagonal tidal matrix."""
+    doc = base_doc(grid={"dim": 2, "n": 32, "extent": 20.0},
+                   curvature={"tidal": [1e-4, 3e-5, 3e-5, -5e-5], "vacuum": False},
+                   evolve={"dt": 0.1, "steps": 100, "record_every": 10, "scheme": "lie"})
+    doc["packet"] = {"shape": "gaussian", "params": [1.0], "x0": [2.0, -1.0],
+                     "v0": [0.002, 0.001], "mass": 50.0, **packet}
+    return doc
+
+
+def csv_value_by_value(scenario, series, aborted=None):
+    """The series CSV formatted one value at a time: ``repr(float(v))`` per
+    element and a per-row ``np.linalg.norm`` for ``dev``."""
+    clx = exact_flow(scenario.x0, scenario.v0, scenario.tidal, series.t).x
+    lines = ["# config: " + json.dumps(scenario.resolved(), sort_keys=True),
+             "t,norm,mx1,mx2,mv1,mv2,cov11,cov12,cov21,cov22,clx1,clx2,dev"]
+    for r in range(series.n_records):
+        row = ([series.t[r], series.norm[r]] + list(series.mean_x[r])
+               + list(series.mean_v[r]) + list(series.cov[r].reshape(-1))
+               + list(clx[r]) + [np.linalg.norm(series.mean_x[r] - clx[r])])
+        lines.append(",".join(repr(float(v)) for v in row))
+    if aborted:
+        lines.append(f"# aborted: {aborted}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestRunCsvBytes:
+    # a full 2D run with off-diagonal R, and a drifting packet's partial
+    @pytest.mark.parametrize("packet,evolve_keys,code", [
+        ({}, {}, 0),
+        ({"x0": [2.0, 0.0], "v0": [0.03, 0.0], "mass": 5.0},
+         {"steps": 400, "record_every": 3}, 3)],
+        ids=["full", "aborted"])
+    def test_2d_bytes_match_value_by_value_formatting(self, tmp_path, packet, evolve_keys, code):
+        doc = doc_2d(**packet)
+        doc["evolve"].update(evolve_keys)
+        out = tmp_path / "series.csv"
+        assert main(["run", "--config", write(tmp_path, doc), "--out", str(out)]) == code
+        scenario = ScenarioConfig.from_dict(doc)
+        try:
+            series, aborted = evolve(scenario.build_packet(), scenario.tidal, scenario.scheme,
+                                     scenario.evolve_cfg), None
+        except BoundaryContact as exc:
+            series, aborted = exc.partial, f"{type(exc).__name__}: {exc}"
+        assert (aborted is None) == (code == 0)
+        assert series.n_records > 10
+        assert out.read_bytes() == csv_value_by_value(scenario, series, aborted)
 
 
 class TestWepCommand:

@@ -309,15 +309,34 @@ LEAN_TIDAL = {
 
 
 def reference_evolve(wf, tidal, scheme, cfg):
-    """Moments and final state of the split-step loop written out through
-    ``grid.forward``/``grid.inverse``, as a reference for ``evolve``."""
+    """The split-step loop written out through ``grid.forward``/
+    ``grid.inverse``, as a reference for ``evolve``.
+
+    Each state's margin mass and, with ``spectral_mass_tol`` set, the edge
+    mass of each transformed state are summed slab by slab over
+    ``_band_slabs``; the run stops at the first step where one passes its
+    tolerance (the margin first), keeping the records taken before that
+    step.  Returns the record columns, the last state, the peak masses by
+    diagnostics key and the stop step (None for a full run).
+    """
     grid, mass, dt = wf.grid, wf.mass, cfg.dt
     kin = np.exp(-1j * grid.k_squared * (dt / (4.0 * np.pi * mass)))
     if scheme is StepScheme.STRANG:
         first = last = np.exp(1j * _tidal_phase_field(grid, tidal, mass, dt / 2.0, False))
     else:
         first, last = None, np.exp(1j * _tidal_phase_field(grid, tidal, mass, dt, False))
-    psi, rows = wf.psi, []
+    margin = _band_slabs(grid, grid.axis_positions,
+                         grid.extent / 2.0 - cfg.boundary_margin_fraction * grid.extent)
+    armed = cfg.spectral_mass_tol is not None
+    edge = _band_slabs(grid, grid.axis_wavenumbers, (1.0 - SPECTRAL_EDGE_FRACTION) * grid.k_max)
+
+    def band_mass(field, slabs):
+        total = 0.0
+        for slab in slabs:
+            total += np.vdot(field[slab], field[slab]).real
+        return float(total) * grid.cell_volume
+
+    psi, rows, margins, edges, stop = wf.psi, [], [], [], None
     for step in range(cfg.n_steps + 1):
         # each product keeps the loop's operand order: numpy's complex
         # multiply is not bitwise commutative, and ``a * f(x)`` on a large
@@ -326,14 +345,26 @@ def reference_evolve(wf, tidal, scheme, cfg):
             if first is not None:
                 psi = first * psi
             spectrum = grid.forward(psi)
+            edge_mass = band_mass(spectrum, edge)
             np.multiply(kin, spectrum, out=spectrum)
             psi = grid.inverse(spectrum)
             psi = last * psi
-        if step % cfg.record_every == 0:
+        margins.append(band_mass(psi, margin))
+        if margins[-1] > cfg.boundary_mass_tol:
+            stop = step
+        elif armed and step > 0:
+            edges.append(edge_mass)
+            if edge_mass > cfg.spectral_mass_tol:
+                stop = step
+        if step % cfg.record_every == 0 and (stop is None or step == 0):
             view = WaveFunction(grid=grid, psi=psi, mass=mass, t=dt * step)
             rows.append((view.t, norm(view), mean_position(view),
                          mean_velocity_spectral(view), covariance(view)))
-    return [np.asarray(col) for col in zip(*rows)], psi
+        if stop is not None:
+            break
+    peaks = {"max_margin_mass": max(margins),
+             "max_spectral_edge_mass": max(edges, default=0.0) if armed else None}
+    return [np.asarray(col) for col in zip(*rows)], psi, peaks, stop
 
 
 class TestLeanLoop:
@@ -343,19 +374,57 @@ class TestLeanLoop:
         grid = SpectralGrid(dim=dim, n=LEAN_N[dim], extent=20.0)
         x0 = [1.5, -1.0, 0.5][:dim]
         v0 = [0.002, -0.001, 0.001][:dim]
-        wf = make_packet(grid, PacketShape.gaussian(1.0), x0, v0, 50.0)
+        outward = make_packet(grid, PacketShape.gaussian(1.0), x0, v0, 50.0)
+        # moving inward, this one sheds margin mass: its margin peak is at step 0
+        inward = make_packet(grid, PacketShape.gaussian(1.0), x0, [-v for v in v0], 50.0)
         tidal = TidalMatrix(LEAN_TIDAL[dim])
         # records and the armed edge monitor read the spectrum buffer the
         # transforms write; 1e-10 never trips here (peak edge mass <= 1e-15)
-        for every, tol in ((7, None), (1, None), (7, 1e-10), (1, 1e-10)):
+        for wf, every, tol in ((outward, 7, None), (outward, 1, None), (outward, 7, 1e-10),
+                               (outward, 1, 1e-10), (inward, 7, 1e-10)):
             cfg = EvolveConfig(dt=STD_DT, n_steps=40, record_every=every,
                                spectral_mass_tol=tol)
             series = evolve(wf, tidal, scheme, cfg)
-            (t, nrm, mx, mv, cov), psi = reference_evolve(wf, tidal, scheme, cfg)
+            (t, nrm, mx, mv, cov), psi, peaks, stop = reference_evolve(wf, tidal, scheme, cfg)
+            assert stop is None
             assert np.array_equal(series.final_state.psi, psi)
+            for key, peak in peaks.items():
+                assert series.diagnostics[key] == peak
             for got, want in ((series.t, t), (series.norm, nrm), (series.mean_x, mx),
                               (series.mean_v, mv), (series.cov, cov)):
                 assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("scheme", [StepScheme.LIE, StepScheme.STRANG])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_abort_matches_reference_step_rows_and_peaks(self, dim, scheme):
+        # a drifting packet trips the margin monitor, armed edge monitor or
+        # not; in 1D the house packet on N=256 trips the edge monitor
+        grid = SpectralGrid(dim=dim, n=LEAN_N[dim], extent=20.0)
+        drifting = make_packet(grid, PacketShape.gaussian(1.0), [2.0] + [0.0] * (dim - 1),
+                               [0.03] + [0.0] * (dim - 1), 5.0)
+        runs = [(drifting, TidalMatrix(LEAN_TIDAL[dim]), BoundaryContact,
+                 EvolveConfig(dt=STD_DT, n_steps=400, record_every=3,
+                              boundary_mass_tol=3e-9, spectral_mass_tol=tol))
+                for tol in (None, 1e-10)]
+        if dim == 1:
+            runs.append((std_packet(std_grid(), x0=2.0), std_tidal(), SpectralEdgeContact,
+                         EvolveConfig(dt=STD_DT, n_steps=1570, record_every=10,
+                                      spectral_mass_tol=1e-10)))
+        for wf, tidal, kind, cfg in runs:
+            with pytest.raises(BoundaryContact) as info:
+                evolve(wf, tidal, scheme, cfg)
+            (t, nrm, mx, mv, cov), psi, peaks, stop = reference_evolve(wf, tidal, scheme, cfg)
+            exc = info.value
+            assert type(exc) is kind
+            assert exc.step_index == stop > 0
+            partial = exc.partial
+            assert partial.n_records == len(t) == (stop - 1) // cfg.record_every + 1
+            assert np.array_equal(partial.final_state.psi, psi)
+            for got, want in ((partial.t, t), (partial.norm, nrm), (partial.mean_x, mx),
+                              (partial.mean_v, mv), (partial.cov, cov)):
+                assert np.array_equal(got, want)
+            for key, peak in peaks.items():
+                assert partial.diagnostics[key] == peak
 
     # the position margin bands evolve watches at two margin fractions, and
     # the spectral edge band: two edge runs per axis, or one run around N/2
