@@ -15,14 +15,16 @@ off-diagonal tidal matrix (``RUN_2D``, 64^2, 400 Strang steps) is written
 into the temporary directory and printed the same way, as
 ``run <generated>/run_2d.json``.
 
-Three variants of ``configs/standard_1d.json``, written into the temporary
+Four variants of ``configs/standard_1d.json``, written into the temporary
 directory, then take ``run``'s abort paths (exit 3): the armed spectral-edge
-monitor (``SpectralEdgeContact`` at step 761), a packet drifting into the
-margin band (``BoundaryContact`` at step 170) and one released inside it
-(initial ``BoundaryContact``).  Their lines name the changed key and add the
-digest of stderr, which carries the abort message:
+monitor (``SpectralEdgeContact`` at step 761), the same with a record every
+step (761 rows, so the partial series ends part way through a stack of
+record snapshots), a packet drifting into the margin band
+(``BoundaryContact`` at step 170) and one released inside it (initial
+``BoundaryContact``).  Their lines name the changed keys and add the digest
+of stderr, which carries the abort message:
 
-    run <config> <key>=<value> exit=<code> sha256=<digest> stderr_sha256=<digest>
+    run <config> <key>=<value>... exit=<code> sha256=<digest> stderr_sha256=<digest>
 
 Two checkouts give byte-identical outputs exactly when their printouts are
 equal, so a behaviour-neutral change is checked with
@@ -42,10 +44,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 COMMANDS = ("wep", "ripple", "converge")
-# (block, key, value) set in configs/standard_1d.json, one aborting run each
-ABORTS = (("evolve", "spectral_mass_tol", 1e-10),
-          ("packet", "v0", [0.03]),
-          ("packet", "x0", [5.0]))
+# (block, key, value) settings made in configs/standard_1d.json, one
+# aborting run per tuple
+ABORTS = ((("evolve", "spectral_mass_tol", 1e-10),),
+          (("evolve", "record_every", 1), ("evolve", "spectral_mass_tol", 1e-10)),
+          (("packet", "v0", [0.03]),),
+          (("packet", "x0", [5.0]),))
 RUN_2D = {
     "grid": {"dim": 2, "n": 64, "extent": 20.0},
     "packet": {"shape": "gaussian", "params": [1.0], "x0": [2.0, -1.0],
@@ -84,13 +88,16 @@ def main() -> int:
         code, digest, _ = run("run", config, Path(tmp) / "run-run_2d.out")
         print(f"run <generated>/{config.name} exit={code} sha256={digest}")
         base = ROOT / "configs" / "standard_1d.json"
-        for block, key, value in ABORTS:
+        for settings in ABORTS:
             doc = json.loads(base.read_text())
-            doc[block][key] = value
-            config = Path(tmp) / f"standard_1d-{key}.json"
+            for block, key, value in settings:
+                doc[block][key] = value
+            config = Path(tmp) / f"standard_1d-{'-'.join(key for _, key, _ in settings)}.json"
             config.write_text(json.dumps(doc))
             code, digest, err = run("run", config, Path(tmp) / f"run-{config.stem}.out")
-            print(f"run {base.relative_to(ROOT)} {block}.{key}={json.dumps(value)} "
+            changed = " ".join(f"{block}.{key}={json.dumps(value)}"
+                               for block, key, value in settings)
+            print(f"run {base.relative_to(ROOT)} {changed} "
                   f"exit={code} sha256={digest} stderr_sha256={err}")
     return 0
 

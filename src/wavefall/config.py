@@ -86,6 +86,8 @@ def _parse_shape(block: dict, where: str) -> PacketShape:
     table = block.get("table")
     if table is not None and kind != "custom_table":
         raise ConfigError(f"{where}.table is only valid for custom_table shapes")
+    if table is not None and not isinstance(table, str):
+        raise ConfigError(f"{where}.table must be a file path string, got {table!r}")
     return PacketShape(kind, params, table)
 
 
@@ -123,7 +125,10 @@ class ScenarioConfig:
             raise ConfigError(str(exc)) from exc
 
         cb = _block(doc, "curvature", _CURV_KEYS, ("tidal",))
-        entries = np.asarray(cb["tidal"], dtype=float)
+        entries = cb["tidal"]
+        if not isinstance(entries, (list, tuple)):
+            raise ConfigError("curvature.tidal must be a flat row-major list of numbers")
+        entries = np.array([_number(v, "curvature.tidal") for v in entries])
         if entries.size != grid.dim ** 2:
             raise ConfigError(
                 f"curvature.tidal needs {grid.dim ** 2} entries (row-major), got {entries.size}")
@@ -183,6 +188,8 @@ class ScenarioConfig:
             if not isinstance(band, (list, tuple)) or len(band) != 2:
                 raise ConfigError("order_band must be [low, high]")
             order_band = (_number(band[0], "order_band"), _number(band[1], "order_band"))
+            if order_band[0] > order_band[1]:
+                raise ConfigError(f"order_band must be [low, high] with low <= high, got {band}")
 
         cfg = cls(grid=grid, tidal=tidal, shape=shape, x0=x0, v0=v0, mass=mass,
                   evolve_cfg=evolve_cfg, scheme=scheme, masses=masses, shapes=shapes,

@@ -156,7 +156,13 @@ def _envelope(grid: SpectralGrid, shape: PacketShape, center: np.ndarray) -> np.
 
 
 def _load_table(path: str) -> tuple[np.ndarray, np.ndarray]:
-    rows = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
+    try:
+        rows = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
+    except OSError as exc:
+        raise ConfigError(f"cannot read amplitude table {path!r}: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"amplitude table {path!r} has a row that is not "
+                          f"'position,re,im' numbers: {exc}") from exc
     if rows.shape[1] != 3:
         raise ConfigError(f"amplitude table must have rows 'position,re,im', got {rows.shape[1]} columns")
     return rows[:, 0], rows[:, 1] + 1j * rows[:, 2]
@@ -276,42 +282,59 @@ def make_packet(grid: SpectralGrid, shape: PacketShape, x0, v0, mass: float) -> 
 
 def _centroid(meshes, weight: np.ndarray, total) -> np.ndarray:
     """Mean of each broadcastable coordinate mesh under ``weight``, whose
-    sum is ``total``."""
-    return np.array([(m * weight).sum() / total for m in meshes])
+    sum over the mesh axes is ``total``.
+
+    ``weight`` is one field or a stack of them along a leading axis; the
+    means come out as ``(dim,)`` or ``(k, dim)``.  Each sum runs over the
+    trailing mesh axes, which numpy reduces with the same pairwise sum as
+    ``.sum()`` of one contiguous field.
+    """
+    axes = tuple(range(-len(meshes), 0))
+    return np.stack([(m * weight).sum(axis=axes) / total for m in meshes], axis=-1)
 
 
 def _covariance(grid: SpectralGrid, rho: np.ndarray, total,
                 mean: np.ndarray) -> np.ndarray:
-    cov = np.empty((grid.dim, grid.dim))
-    centered = [xm - mean[ax] for ax, xm in enumerate(grid.position_meshes)]
+    """Second central moments of one density or a stack of them, with the
+    means of ``_centroid``; ``(dim, dim)`` or ``(k, dim, dim)``."""
+    axes = tuple(range(-grid.dim, 0))
+    lead = mean.shape[:-1] + (1,) * grid.dim
+    cov = np.empty(mean.shape + (grid.dim,))
+    centered = [xm - mean[..., ax].reshape(lead)
+                for ax, xm in enumerate(grid.position_meshes)]
     for i in range(grid.dim):
         for j in range(i + 1):
-            cij = float((centered[i] * centered[j] * rho).sum()) / total
-            cov[i, j] = cov[j, i] = cij
+            cij = (centered[i] * centered[j] * rho).sum(axis=axes) / total
+            cov[..., i, j] = cov[..., j, i] = cij
     return cov
 
 
 def moments(grid: SpectralGrid, psi: np.ndarray, mass: float,
             work: np.ndarray | None = None):
-    """(norm, mean position, spectral mean velocity, covariance) of a field.
+    """(norm, mean position, spectral mean velocity, covariance) of every
+    field of a stack ``psi`` of shape ``(k, *grid.shape)``, as arrays of
+    shape ``(k,)``, ``(k, dim)``, ``(k, dim)`` and ``(k, dim, dim)``.
 
     One density and one transform serve all four, and each density is
-    summed once; each result equals its public observable to the bit, since
-    the products keep their operand order and every sum is the same
-    pairwise ``.sum()``.  The index-referenced ``spectral.transform``
-    (bit for bit ``fftn``) stands in for ``grid.forward``: the centre signs
-    it omits are +-1 factors that drop out of |A|^2.
+    summed once: one ``spectral.transform`` call over the stack and one
+    reduction per moment over the trailing grid axes, whatever ``k``.  Row
+    r equals the public observables of ``psi[r]`` to the bit, since the
+    products keep their operand order and every sum is the pairwise sum
+    ``.sum()`` takes over that field alone.  The index-referenced transform
+    (bit for bit ``fftn`` per row) stands in for ``grid.forward``: the
+    centre signs it omits are +-1 factors that drop out of |A|^2.
 
-    ``work``, a complex128 array of ``grid.shape`` that does not overlap
-    ``psi``, receives the transform in place of a newly allocated array;
+    ``work``, a complex128 array of the shape of ``psi`` that does not
+    overlap it, receives the transform in place of a newly allocated array;
     its contents are overwritten.
     """
+    axes = tuple(range(-grid.dim, 0))
     rho = np.abs(psi) ** 2
-    total = rho.sum()
+    total = rho.sum(axis=axes)
     mean_x = _centroid(grid.position_meshes, rho, total)
-    w = np.abs(transform(psi, work)) ** 2
-    return (float(total) * grid.cell_volume, mean_x,
-            _centroid(grid.wavenumber_meshes, w, w.sum()) / (TWO_PI * mass),
+    w = np.abs(transform(psi, work, dim=grid.dim)) ** 2
+    return (total * grid.cell_volume, mean_x,
+            _centroid(grid.wavenumber_meshes, w, w.sum(axis=axes)) / (TWO_PI * mass),
             _covariance(grid, rho, total, mean_x))
 
 

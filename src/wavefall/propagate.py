@@ -43,6 +43,9 @@ from .spectral import SpectralGrid, transform
 
 # the spectral monitor watches |k_i| >= (1 - SPECTRAL_EDGE_FRACTION) k_max
 SPECTRAL_EDGE_FRACTION = 0.1
+# at most this many bytes of state snapshots are held for one stacked
+# moments call; a field too large for two is recorded alone, as a view
+RECORD_STACK_BYTES = 64 * 1024
 
 
 class StepScheme(str, Enum):
@@ -229,11 +232,21 @@ def evolve(wf: WaveFunction, tidal: TidalMatrix, scheme: StepScheme,
     The run steps in two complex buffers allocated once per call, before the
     step-0 record: the state, which starts as a copy of ``wf.psi`` (never
     written), and its spectrum.  The kicks, both transforms and the kinetic
-    factor write into them in place, and each record transforms into the
-    spectrum buffer (``packets.moments``'s work array).  The state buffer
-    becomes the final state of the returned or partial series.  Raises
-    BoundaryContact (with the partial series attached) as soon as more than
-    ``boundary_mass_tol`` probability sits in the margin band.
+    factor write into them in place.  The state buffer becomes the final
+    state of the returned or partial series.  Raises BoundaryContact (with
+    the partial series attached) as soon as more than ``boundary_mass_tol``
+    probability sits in the margin band.
+
+    Each record copies the state into a stack of snapshots of at most
+    ``RECORD_STACK_BYTES`` (and at most one per row), allocated once with a
+    transform work stack of the same shape.  One ``packets.moments`` call
+    takes the rows of a full stack, and the snapshots still pending are
+    taken before a full or partial series is handed out, so an abort keeps
+    every row recorded before its step.  When the budget holds one field
+    only (any field larger than half of it, e.g. 64^2 and up), the stack is
+    the view ``state[None]``, with ``spectrum[None]`` as work, taken at its
+    record step without a copy or an extra buffer.  Every row equals a
+    one-field record to the bit (``moments``).
 
     With ``spectral_mass_tol`` set, the probability in the spectral edge band
     (|k_i| >= 0.9 k_max on any axis, summed over disjoint slabs like the
@@ -275,6 +288,12 @@ def evolve(wf: WaveFunction, tidal: TidalMatrix, scheme: StepScheme,
     # never reused across calls: the state is handed out as a final state
     state = wf.psi.copy()
     spectrum = np.empty_like(state)
+    depth = min(n_rows, max(1, RECORD_STACK_BYTES // state.nbytes))
+    if depth == 1:
+        snaps, snaps_work = state[None], spectrum[None]
+    else:
+        snaps = np.empty((depth,) + grid.shape, dtype=state.dtype)
+        snaps_work = np.empty_like(snaps)
     margin = [state[slab] for slab in _band_slabs(
         grid, grid.axis_positions,
         grid.extent / 2.0 - cfg.boundary_margin_fraction * grid.extent)]
@@ -284,9 +303,27 @@ def evolve(wf: WaveFunction, tidal: TidalMatrix, scheme: StepScheme,
         edge = [spectrum[slab] for slab in _band_slabs(
             grid, grid.axis_wavenumbers, (1.0 - SPECTRAL_EDGE_FRACTION) * grid.k_max)]
 
+    def take(stop: int) -> None:
+        """Moments of the pending snapshots, rows up to ``stop``, in one call."""
+        start = (stop - 1) // depth * depth
+        k = stop - start
+        norms[start:stop], mean_x[start:stop], mean_v[start:stop], cov[start:stop] = (
+            moments(grid, snaps[:k], mass, snaps_work[:k]))
+
+    def record(row: int) -> None:
+        """Snapshot the state as record ``row``; take a full stack."""
+        slot = row % depth
+        if depth > 1:
+            snaps[slot] = state
+        if slot == depth - 1:
+            take(row + 1)
+
     def series(k: int, step: int, peak_margin: float,
                peak_edge: float | None) -> MomentSeries:
-        """The first ``k`` records, with the state at ``step`` as final state."""
+        """The first ``k`` records, with the state at ``step`` as final state;
+        snapshots still pending are taken first."""
+        if k % depth:
+            take(k)
         v_char = float(np.max(np.linalg.norm(mean_v[:k], axis=1)))
         diagnostics = {
             "epsilon": epsilon,
@@ -312,7 +349,7 @@ def evolve(wf: WaveFunction, tidal: TidalMatrix, scheme: StepScheme,
         taken = 1 if step == 0 else (step - 1) // every + 1
         raise kind(step, text, partial=series(taken, step, peak_margin, peak_edge))
 
-    norms[0], mean_x[0], mean_v[0], cov[0] = moments(grid, state, mass, spectrum)
+    record(0)
     peak_margin = _band_mass(margin, dV)
     peak_edge = None if edge_tol is None else 0.0
     if peak_margin > margin_tol:
@@ -345,9 +382,7 @@ def evolve(wf: WaveFunction, tidal: TidalMatrix, scheme: StepScheme,
                       f"spectral edge mass {edge_mass:.3e} exceeds {edge_tol:.1e}",
                       step, peak_margin, peak_edge)
         if step % every == 0:
-            row = step // every
-            norms[row], mean_x[row], mean_v[row], cov[row] = moments(
-                grid, state, mass, spectrum)
+            record(step // every)
 
     return series(n_rows, cfg.n_steps, peak_margin, peak_edge)
 

@@ -14,7 +14,9 @@ shape ``grid.shape`` (row-major); there is no wrapper type.
 
 ``transform`` is the index-referenced unitary FFT the step loop and the
 moment records run on: numpy's transform ufuncs called directly, without
-the per-call argument handling of ``numpy.fft``'s Python functions.
+the per-call argument handling of ``numpy.fft``'s Python functions.  It
+transforms the trailing axes of its input, so the records take one call
+for a whole stack of snapshots.
 """
 
 from __future__ import annotations
@@ -138,23 +140,28 @@ class SpectralGrid:
 
 
 def transform(field: np.ndarray, out: np.ndarray | None = None,
-              inverse: bool = False) -> np.ndarray:
-    """``np.fft.fftn(field, norm="ortho", out=out)``, or ``ifftn`` with
-    ``inverse``, bit for bit, over every axis of ``field``.
+              inverse: bool = False, dim: int | None = None) -> np.ndarray:
+    """``np.fft.fftn(field, axes=..., norm="ortho", out=out)``, or ``ifftn``
+    with ``inverse``, bit for bit, over the trailing ``dim`` axes of
+    ``field`` (all of them when None).
 
-    One ufunc call per axis, last axis first as ``fftn`` goes, each scaled by
-    1/sqrt(n) (equal to numpy's ``reciprocal(sqrt(n))``, both correctly
-    rounded); a 1D field takes one call on the ufunc's default axis.  The
-    first axis writes into ``out`` (allocated when None) and the others
-    transform it in place; ``field`` is only read unless it is ``out``.
-    Returns ``out``.
+    So one call serves a field and a stack of fields ``(k, *grid.shape)``
+    with ``dim=grid.dim``: every row of a stack is transformed as that field
+    alone would be, bit for bit.  One ufunc call per transformed axis, last
+    axis first as ``fftn`` goes, each scaled by 1/sqrt(n) (equal to numpy's
+    ``reciprocal(sqrt(n))``, both correctly rounded); a one-axis transform
+    takes one call on the ufunc's default (last) axis.  The first axis
+    writes into ``out`` (allocated when None) and the others transform it in
+    place; ``field`` is only read unless it is ``out``.  Returns ``out``.
     """
     ufunc = _pocketfft_umath.ifft if inverse else _pocketfft_umath.fft
     if out is None:
         out = np.empty_like(field, dtype=np.result_type(field.dtype, 1j))
-    if field.ndim == 1:
-        return ufunc(field, 1.0 / math.sqrt(field.shape[0]), out=out)
-    for ax in range(field.ndim - 1, -1, -1):
+    if dim is None:
+        dim = field.ndim
+    if dim == 1:
+        return ufunc(field, 1.0 / math.sqrt(field.shape[-1]), out=out)
+    for ax in range(field.ndim - 1, field.ndim - 1 - dim, -1):
         ufunc(field, 1.0 / math.sqrt(field.shape[ax]), axes=[(ax,), (), (ax,)], out=out)
         field = out
     return out

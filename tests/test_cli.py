@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -313,3 +317,39 @@ class TestShippedConfigs:
         code = main(["run", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o.csv")])
         assert code == 2
+
+
+class TestMalformedConfigs:
+    # each bad document is a validation error: exit 2 with the error class
+    # on stderr, never a traceback (exit 1 means "ran but failed")
+
+    @staticmethod
+    def bad_docs(tmp_path):
+        table = {"shape": "custom_table", "x0": [0.0], "v0": [0.0], "mass": 100.0}
+        return {
+            "tidal_string": ("run", base_doc(curvature={"tidal": ["1e-4"]})),
+            "tidal_ragged": ("run", base_doc(curvature={"tidal": [[1e-4, 0.0], [0.0]]})),
+            "tidal_boolean": ("run", base_doc(curvature={"tidal": [True]})),
+            "table_missing": ("run", base_doc(
+                packet={**table, "table": str(tmp_path / "missing.csv")})),
+            "table_not_string": ("run", base_doc(packet={**table, "table": 123})),
+            "order_band_reversed": ("converge", base_doc(
+                dt_list=[0.4, 0.2, 0.1], order_band=[2.2, 1.8],
+                evolve={"dt": 0.1, "steps": 784, "scheme": "strang"})),
+        }
+
+    @pytest.mark.parametrize("case", ["tidal_string", "tidal_ragged", "tidal_boolean",
+                                      "table_missing", "table_not_string",
+                                      "order_band_reversed"])
+    def test_exits_2_with_config_error(self, tmp_path, case):
+        command, doc = self.bad_docs(tmp_path)[case]
+        out = tmp_path / "out"
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        done = subprocess.run(
+            [sys.executable, "-m", "wavefall", command, "--config", write(tmp_path, doc),
+             "--out", str(out)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 2
+        assert done.stderr.startswith("ConfigError: ")
+        assert "Traceback" not in done.stderr
+        assert not out.exists()

@@ -228,11 +228,28 @@ class TestMoments:
     def test_equal_to_the_observables_to_the_bit(self, rng, dim, n):
         grid = std_grid(n=n, dim=dim)
         wf = WaveFunction(grid=grid, psi=random_field(grid, rng), mass=37.0)
-        got = moments(grid, wf.psi, wf.mass)
+        got = moments(grid, wf.psi[None], wf.mass)
         want = (norm(wf), mean_position(wf), mean_velocity_spectral(wf), covariance(wf))
-        assert got[0] == want[0]
+        assert got[0][0] == want[0]
         for g, w in zip(got[1:], want[1:]):
-            assert np.array_equal(g, w)
+            assert np.array_equal(g[0], w)
+
+    @pytest.mark.parametrize("dim,n", [(1, 512), (2, 16), (3, 8)])
+    def test_stack_rows_equal_each_fields_observables_to_the_bit(self, rng, dim, n):
+        # one call over a stack of three fields, each reduced over its own
+        # trailing grid axes, with a work stack taking the transform
+        grid = std_grid(n=n, dim=dim)
+        stack = np.stack([random_field(grid, rng, normalized=False) for _ in range(3)])
+        kept = stack.copy()
+        got = moments(grid, stack, 37.0, np.empty_like(stack))
+        assert [g.shape for g in got] == [(3,), (3, dim), (3, dim), (3, dim, dim)]
+        assert stack.tobytes() == kept.tobytes()
+        for r, psi in enumerate(stack):
+            wf = WaveFunction(grid=grid, psi=psi, mass=37.0)
+            assert got[0][r] == norm(wf)
+            for g, w in zip(got[1:], (mean_position(wf), mean_velocity_spectral(wf),
+                                      covariance(wf))):
+                assert np.array_equal(g[r], w)
 
 
 class TestNorm:

@@ -1,3 +1,6 @@
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -31,7 +34,8 @@ from wavefall import (
     norm,
     tidal_step,
 )
-from wavefall.packets import covariance
+from wavefall import propagate
+from wavefall.packets import covariance, moments
 from wavefall.propagate import SPECTRAL_EDGE_FRACTION, _band_slabs, _tidal_phase_field
 from wavefall.spectral import SpectralGrid
 
@@ -425,6 +429,63 @@ class TestLeanLoop:
                 assert np.array_equal(got, want)
             for key, peak in peaks.items():
                 assert partial.diagnostics[key] == peak
+
+    @pytest.mark.parametrize("scheme", [StepScheme.LIE, StepScheme.STRANG])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_record_stacks_match_reference_to_the_bit(self, dim, depth, scheme, monkeypatch):
+        # a budget of `depth` fields: the records go to moments in full
+        # stacks, and the rows still pending when the run ends or aborts go
+        # in one last, shorter stack; each run ends part way through a stack
+        # (an abort records at the smallest cadence for which it does)
+        grid = SpectralGrid(dim=dim, n=LEAN_N[dim], extent=20.0)
+        monkeypatch.setattr(propagate, "RECORD_STACK_BYTES", depth * 16 * grid.n ** dim)
+        stacks = []
+
+        def spy(grid, psi, mass, work=None):
+            stacks.append(psi.shape[0])
+            return moments(grid, psi, mass, work)
+
+        monkeypatch.setattr(propagate, "moments", spy)
+        tidal = TidalMatrix(LEAN_TIDAL[dim])
+        moving = make_packet(grid, PacketShape.gaussian(1.0), [1.5, -1.0, 0.5][:dim],
+                             [0.002, -0.001, 0.001][:dim], 50.0)
+        drifting = make_packet(grid, PacketShape.gaussian(1.0), [2.0] + [0.0] * (dim - 1),
+                               [0.03] + [0.0] * (dim - 1), 5.0)
+        runs = [(moving, tidal, None, EvolveConfig(dt=STD_DT, n_steps=40, record_every=1,
+                                                   spectral_mass_tol=1e-10)),
+                (drifting, tidal, BoundaryContact,
+                 EvolveConfig(dt=STD_DT, n_steps=400, boundary_mass_tol=3e-9))]
+        if dim == 1:
+            runs.append((std_packet(std_grid(), x0=2.0), std_tidal(), SpectralEdgeContact,
+                         EvolveConfig(dt=STD_DT, n_steps=1570, record_every=1,
+                                      spectral_mass_tol=1e-10)))
+        for wf, tidal, kind, cfg in runs:
+            stop = reference_evolve(wf, tidal, scheme, cfg)[3]
+            if stop is not None:
+                every = next(e for e in itertools.count(1) if ((stop - 1) // e + 1) % depth)
+                cfg = replace(cfg, record_every=every)
+            stacks.clear()
+            (t, nrm, mx, mv, cov), psi, peaks, stop = reference_evolve(wf, tidal, scheme, cfg)
+            if kind is None:
+                got = evolve(wf, tidal, scheme, cfg)
+                assert stop is None
+            else:
+                with pytest.raises(BoundaryContact) as info:
+                    evolve(wf, tidal, scheme, cfg)
+                assert type(info.value) is kind
+                assert info.value.step_index == stop > 0
+                got = info.value.partial
+            rows = len(t)
+            assert rows % depth
+            assert stacks == [depth] * (rows // depth) + [rows % depth]
+            assert got.n_records == rows
+            assert np.array_equal(got.final_state.psi, psi)
+            for have, want in ((got.t, t), (got.norm, nrm), (got.mean_x, mx),
+                               (got.mean_v, mv), (got.cov, cov)):
+                assert np.array_equal(have, want)
+            for key, peak in peaks.items():
+                assert got.diagnostics[key] == peak
 
     # the position margin bands evolve watches at two margin fractions, and
     # the spectral edge band: two edge runs per axis, or one run around N/2

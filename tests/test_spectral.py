@@ -128,3 +128,20 @@ class TestTransformUfuncs:
         assert np.array_equal(out, want)
         assert np.array_equal(transform(f, inverse=inverse), want)
         assert f.tobytes() == kept.tobytes()
+
+    # the records transform a stack of snapshots in one call over its
+    # trailing grid axes; every row must be that field's own transform
+    @pytest.mark.parametrize("inverse", [False, True])
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("dim,n", [(1, 512), (1, 768), (2, LEAN_N[2]), (3, LEAN_N[3])])
+    def test_stack_rows_equal_single_field_transforms_to_the_bit(self, dim, n, rows,
+                                                                 inverse, rng):
+        g = SpectralGrid(dim=dim, n=n, extent=20.0)
+        stack = np.stack([random_field(g, rng, normalized=False) for _ in range(rows)])
+        kept = stack.copy()
+        out = np.empty_like(stack)
+        assert transform(stack, out, inverse=inverse, dim=dim) is out
+        assert out.shape == stack.shape
+        for row, field in zip(out, stack):
+            assert np.array_equal(row, transform(field, inverse=inverse))
+        assert stack.tobytes() == kept.tobytes()
