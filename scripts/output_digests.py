@@ -15,14 +15,16 @@ off-diagonal tidal matrix (``RUN_2D``, 64^2, 400 Strang steps) is written
 into the temporary directory and printed the same way, as
 ``run <generated>/run_2d.json``.
 
-Four variants of ``configs/standard_1d.json``, written into the temporary
-directory, then take ``run``'s abort paths (exit 3): the armed spectral-edge
-monitor (``SpectralEdgeContact`` at step 761), the same with a record every
-step (761 rows, so the partial series ends part way through a stack of
-record snapshots), a packet drifting into the margin band
-(``BoundaryContact`` at step 170) and one released inside it (initial
-``BoundaryContact``).  Their lines name the changed keys and add the digest
-of stderr, which carries the abort message:
+Four variants of ``configs/standard_1d.json`` and two of ``RUN_2D``,
+written into the temporary directory, then take ``run``'s abort paths
+(exit 3).  In 1D: the armed spectral-edge monitor (``SpectralEdgeContact``
+at step 761), the same with a record every step (761 rows, so the partial
+series ends part way through a stack of record snapshots), a packet
+drifting into the margin band (``BoundaryContact`` at step 170) and one
+released inside it (initial ``BoundaryContact``).  In 2D: a heavy packet
+under the armed monitor (``SpectralEdgeContact`` at step 48) and a light,
+fast one (``BoundaryContact`` at step 113).  Their lines name the changed
+keys and add the digest of stderr, which carries the abort message:
 
     run <config> <key>=<value>... exit=<code> sha256=<digest> stderr_sha256=<digest>
 
@@ -44,12 +46,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 COMMANDS = ("wep", "ripple", "converge")
-# (block, key, value) settings made in configs/standard_1d.json, one
-# aborting run per tuple
-ABORTS = ((("evolve", "spectral_mass_tol", 1e-10),),
-          (("evolve", "record_every", 1), ("evolve", "spectral_mass_tol", 1e-10)),
-          (("packet", "v0", [0.03]),),
-          (("packet", "x0", [5.0]),))
 RUN_2D = {
     "grid": {"dim": 2, "n": 64, "extent": 20.0},
     "packet": {"shape": "gaussian", "params": [1.0], "x0": [2.0, -1.0],
@@ -57,6 +53,14 @@ RUN_2D = {
     "curvature": {"tidal": [1e-4, 3e-5, 3e-5, -5e-5], "vacuum": False},
     "evolve": {"dt": 0.1, "steps": 400, "record_every": 10, "scheme": "strang"},
 }
+# (base config, (block, key, value) settings made in it): one aborting run
+# per entry; the base is "1d" (configs/standard_1d.json) or "2d" (RUN_2D)
+ABORTS = (("1d", (("evolve", "spectral_mass_tol", 1e-10),)),
+          ("1d", (("evolve", "record_every", 1), ("evolve", "spectral_mass_tol", 1e-10))),
+          ("1d", (("packet", "v0", [0.03]),)),
+          ("1d", (("packet", "x0", [5.0]),)),
+          ("2d", (("packet", "mass", 300), ("evolve", "spectral_mass_tol", 1e-10))),
+          ("2d", (("packet", "v0", [0.03, 0.0]), ("packet", "mass", 5))))
 
 
 def scenarios() -> list[tuple[str, Path]]:
@@ -87,18 +91,20 @@ def main() -> int:
         config.write_text(json.dumps(RUN_2D))
         code, digest, _ = run("run", config, Path(tmp) / "run-run_2d.out")
         print(f"run <generated>/{config.name} exit={code} sha256={digest}")
-        base = ROOT / "configs" / "standard_1d.json"
-        for settings in ABORTS:
-            doc = json.loads(base.read_text())
+        std = ROOT / "configs" / "standard_1d.json"
+        bases = {"1d": (str(std.relative_to(ROOT)), std.read_text()),
+                 "2d": (f"<generated>/{config.name}", json.dumps(RUN_2D))}
+        for base, settings in ABORTS:
+            label, text = bases[base]
+            doc = json.loads(text)
             for block, key, value in settings:
                 doc[block][key] = value
-            config = Path(tmp) / f"standard_1d-{'-'.join(key for _, key, _ in settings)}.json"
+            config = Path(tmp) / f"{base}-{'-'.join(key for _, key, _ in settings)}.json"
             config.write_text(json.dumps(doc))
             code, digest, err = run("run", config, Path(tmp) / f"run-{config.stem}.out")
             changed = " ".join(f"{block}.{key}={json.dumps(value)}"
                                for block, key, value in settings)
-            print(f"run {base.relative_to(ROOT)} {changed} "
-                  f"exit={code} sha256={digest} stderr_sha256={err}")
+            print(f"run {label} {changed} exit={code} sha256={digest} stderr_sha256={err}")
     return 0
 
 

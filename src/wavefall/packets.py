@@ -14,6 +14,7 @@ any finite field; constructed packets are normalized to 1.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -157,12 +158,17 @@ def _envelope(grid: SpectralGrid, shape: PacketShape, center: np.ndarray) -> np.
 
 def _load_table(path: str) -> tuple[np.ndarray, np.ndarray]:
     try:
-        rows = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
+        with warnings.catch_warnings():
+            # an empty or blank-only file is reported below, as a ConfigError
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            rows = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
     except OSError as exc:
         raise ConfigError(f"cannot read amplitude table {path!r}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"amplitude table {path!r} has a row that is not "
                           f"'position,re,im' numbers: {exc}") from exc
+    if rows.size == 0:
+        raise ConfigError(f"amplitude table {path!r} has no data rows")
     if rows.shape[1] != 3:
         raise ConfigError(f"amplitude table must have rows 'position,re,im', got {rows.shape[1]} columns")
     return rows[:, 0], rows[:, 1] + 1j * rows[:, 2]

@@ -229,13 +229,15 @@ def evolve(wf: WaveFunction, tidal: TidalMatrix, scheme: StepScheme,
     diagonal, and a +-1 multiply is exact, so the state is bit-identical to
     a loop through them.
 
-    The run steps in two complex buffers allocated once per call, before the
+    The run steps in one complex buffer allocated once per call, before the
     step-0 record: the state, which starts as a copy of ``wf.psi`` (never
-    written), and its spectrum.  The kicks, both transforms and the kinetic
-    factor write into them in place.  The state buffer becomes the final
-    state of the returned or partial series.  Raises BoundaryContact (with
-    the partial series attached) as soon as more than ``boundary_mass_tol``
-    probability sits in the margin band.
+    written).  The kicks, both transforms and the kinetic factor act on it
+    in place, so between the forward and the inverse transform it holds the
+    spectrum; an in-place transform is bit-identical to one into another
+    buffer.  The state buffer becomes the final state of the returned or
+    partial series.  Raises BoundaryContact (with the partial series
+    attached) as soon as more than ``boundary_mass_tol`` probability sits
+    in the margin band.
 
     Each record copies the state into a stack of snapshots of at most
     ``RECORD_STACK_BYTES`` (and at most one per row), allocated once with a
@@ -244,19 +246,19 @@ def evolve(wf: WaveFunction, tidal: TidalMatrix, scheme: StepScheme,
     taken before a full or partial series is handed out, so an abort keeps
     every row recorded before its step.  When the budget holds one field
     only (any field larger than half of it, e.g. 64^2 and up), the stack is
-    the view ``state[None]``, with ``spectrum[None]`` as work, taken at its
-    record step without a copy or an extra buffer.  Every row equals a
-    one-field record to the bit (``moments``).
+    the view ``state[None]``, taken at its record step without a copy, and
+    its one-field work buffer is the only other field the run allocates.
+    Every row equals a one-field record to the bit (``moments``).
 
     With ``spectral_mass_tol`` set, the probability in the spectral edge band
     (|k_i| >= 0.9 k_max on any axis, summed over disjoint slabs like the
-    margin band) is read off the spectrum each step already transforms,
-    i.e. the state entering the kinetic factor, which is a pure phase and
-    so leaves the band mass unchanged.  More than ``spectral_mass_tol``
-    there raises SpectralEdgeContact, a BoundaryContact with the same step
-    index and partial series.
+    margin band) is read off the spectrum each step already transforms:
+    the state between the forward transform and the kinetic factor, which
+    is a pure phase and so leaves the band mass unchanged.  More than
+    ``spectral_mass_tol`` there raises SpectralEdgeContact, a
+    BoundaryContact with the same step index and partial series.
 
-    Both monitors sum over slab views taken once on the two buffers, and
+    Both monitors sum over slab views taken once on the state, and
     each keeps its peak in a local that the step compares against; the
     abort path runs only when a peak passes its tolerance, so a run that
     never trips pays no per-step call beyond the slab sums.
@@ -287,20 +289,16 @@ def evolve(wf: WaveFunction, tidal: TidalMatrix, scheme: StepScheme,
 
     # never reused across calls: the state is handed out as a final state
     state = wf.psi.copy()
-    spectrum = np.empty_like(state)
     depth = min(n_rows, max(1, RECORD_STACK_BYTES // state.nbytes))
-    if depth == 1:
-        snaps, snaps_work = state[None], spectrum[None]
-    else:
-        snaps = np.empty((depth,) + grid.shape, dtype=state.dtype)
-        snaps_work = np.empty_like(snaps)
+    snaps = state[None] if depth == 1 else np.empty((depth,) + grid.shape, dtype=state.dtype)
+    snaps_work = np.empty_like(snaps)
     margin = [state[slab] for slab in _band_slabs(
         grid, grid.axis_positions,
         grid.extent / 2.0 - cfg.boundary_margin_fraction * grid.extent)]
     margin_tol, edge_tol = cfg.boundary_mass_tol, cfg.spectral_mass_tol
     edge = []
     if edge_tol is not None:
-        edge = [spectrum[slab] for slab in _band_slabs(
+        edge = [state[slab] for slab in _band_slabs(
             grid, grid.axis_wavenumbers, (1.0 - SPECTRAL_EDGE_FRACTION) * grid.k_max)]
 
     def take(stop: int) -> None:
@@ -361,11 +359,11 @@ def evolve(wf: WaveFunction, tidal: TidalMatrix, scheme: StepScheme,
     for step in range(1, cfg.n_steps + 1):
         if tid_first is not None:
             np.multiply(tid_first, state, out=state)
-        transform(state, spectrum)
+        transform(state, state)
         if edge:
             edge_mass = _band_mass(edge, dV)
-        np.multiply(kin, spectrum, out=spectrum)
-        transform(spectrum, state, inverse=True)
+        np.multiply(kin, state, out=state)
+        transform(state, state, inverse=True)
         np.multiply(tid_last, state, out=state)
         # a mass past its tolerance is past every earlier one, hence a new peak
         margin_mass = _band_mass(margin, dV)

@@ -12,11 +12,12 @@ Both directions carry N^(-d/2); discrete Parseval sum|f|^2 == sum|A|^2 holds
 exactly up to rounding.  Complex fields are plain complex128 ndarrays of
 shape ``grid.shape`` (row-major); there is no wrapper type.
 
-``transform`` is the index-referenced unitary FFT the step loop and the
-moment records run on: numpy's transform ufuncs called directly, without
-the per-call argument handling of ``numpy.fft``'s Python functions.  It
-transforms the trailing axes of its input, so the records take one call
-for a whole stack of snapshots.
+``transform`` is the index-referenced unitary FFT the step loop, the
+moment records and ``SpectralGrid.forward``/``inverse`` run on: numpy's
+transform ufuncs called directly, without the per-call argument handling
+of ``numpy.fft``'s Python functions.  It transforms the trailing axes of
+its input, so the records take one call for a whole stack of snapshots,
+and it may transform a field in place.
 """
 
 from __future__ import annotations
@@ -130,13 +131,13 @@ class SpectralGrid:
 
     def forward(self, field: np.ndarray) -> np.ndarray:
         """Unitary coordinate-referenced DFT of a grid field."""
-        field = self._check(field)
-        return self._center_signs * np.fft.fftn(field, norm="ortho")
+        spectrum = transform(self._check(field))
+        return np.multiply(self._center_signs, spectrum, out=spectrum)
 
     def inverse(self, field: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`forward`."""
-        field = self._check(field)
-        return np.fft.ifftn(self._center_signs * field, norm="ortho")
+        field = self._center_signs * self._check(field)
+        return transform(field, field, inverse=True)
 
 
 def transform(field: np.ndarray, out: np.ndarray | None = None,

@@ -326,6 +326,8 @@ class TestMalformedConfigs:
     @staticmethod
     def bad_docs(tmp_path):
         table = {"shape": "custom_table", "x0": [0.0], "v0": [0.0], "mass": 100.0}
+        empty = tmp_path / "empty.csv"
+        empty.touch()
         return {
             "tidal_string": ("run", base_doc(curvature={"tidal": ["1e-4"]})),
             "tidal_ragged": ("run", base_doc(curvature={"tidal": [[1e-4, 0.0], [0.0]]})),
@@ -333,6 +335,7 @@ class TestMalformedConfigs:
             "table_missing": ("run", base_doc(
                 packet={**table, "table": str(tmp_path / "missing.csv")})),
             "table_not_string": ("run", base_doc(packet={**table, "table": 123})),
+            "table_empty": ("run", base_doc(packet={**table, "table": str(empty)})),
             "order_band_reversed": ("converge", base_doc(
                 dt_list=[0.4, 0.2, 0.1], order_band=[2.2, 1.8],
                 evolve={"dt": 0.1, "steps": 784, "scheme": "strang"})),
@@ -340,7 +343,7 @@ class TestMalformedConfigs:
 
     @pytest.mark.parametrize("case", ["tidal_string", "tidal_ragged", "tidal_boolean",
                                       "table_missing", "table_not_string",
-                                      "order_band_reversed"])
+                                      "table_empty", "order_band_reversed"])
     def test_exits_2_with_config_error(self, tmp_path, case):
         command, doc = self.bad_docs(tmp_path)[case]
         out = tmp_path / "out"
@@ -352,4 +355,5 @@ class TestMalformedConfigs:
         assert done.returncode == 2
         assert done.stderr.startswith("ConfigError: ")
         assert "Traceback" not in done.stderr
+        assert "Warning" not in done.stderr
         assert not out.exists()

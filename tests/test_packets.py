@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -305,6 +306,16 @@ class TestCustomTable:
         np.savetxt(table, np.zeros((4, 2)), delimiter=",")
         with pytest.raises(ConfigError):
             make_packet(std_grid(), PacketShape.from_table(str(table)), [0.0], [0.0], 100.0)
+
+    @pytest.mark.parametrize("text", ["", "\n\n\n"], ids=["empty", "blank_lines"])
+    def test_table_without_rows_names_the_fault(self, tmp_path, text):
+        # empty and blank-only files: no numpy warning, an error that says so
+        table = tmp_path / "empty.csv"
+        table.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="no data rows"):
+                make_packet(std_grid(), PacketShape.from_table(str(table)), [0.0], [0.0], 100.0)
 
     def test_table_requires_1d(self, tmp_path):
         table = tmp_path / "t.csv"

@@ -103,6 +103,19 @@ class TestTransforms:
         rhs = alpha * g.forward(f) + beta * g.forward(h)
         assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(1.0, abs(alpha) + abs(beta))
 
+    # forward/inverse run on ``transform``; they must stay the centre-signed
+    # numpy fftn/ifftn to the bit, and leave their input unwritten
+    @pytest.mark.parametrize("dim,n", [(1, 512), (2, LEAN_N[2]), (3, LEAN_N[3])])
+    def test_equal_signed_numpy_fftn_to_the_bit(self, dim, n, rng):
+        g = SpectralGrid(dim=dim, n=n, extent=20.0)
+        f = random_field(g, rng, normalized=False)
+        kept = f.copy()
+        modes = np.meshgrid(*[g.axis_modes] * dim, indexing="ij")
+        signs = np.where(sum(modes) % 2 == 0, 1.0, -1.0)
+        assert np.array_equal(g.forward(f), signs * np.fft.fftn(f, norm="ortho"))
+        assert np.array_equal(g.inverse(f), np.fft.ifftn(signs * f, norm="ortho"))
+        assert f.tobytes() == kept.tobytes()
+
     def test_size_mismatch(self):
         g = SpectralGrid(dim=1, n=8, extent=1.0)
         with pytest.raises(SizeMismatch):
@@ -128,6 +141,9 @@ class TestTransformUfuncs:
         assert np.array_equal(out, want)
         assert np.array_equal(transform(f, inverse=inverse), want)
         assert f.tobytes() == kept.tobytes()
+        # the step loop transforms its one state buffer in place
+        assert transform(f, f, inverse=inverse) is f
+        assert np.array_equal(f, want)
 
     # the records transform a stack of snapshots in one call over its
     # trailing grid axes; every row must be that field's own transform
@@ -145,3 +161,5 @@ class TestTransformUfuncs:
         for row, field in zip(out, stack):
             assert np.array_equal(row, transform(field, inverse=inverse))
         assert stack.tobytes() == kept.tobytes()
+        assert transform(stack, stack, inverse=inverse, dim=dim) is stack
+        assert np.array_equal(stack, out)
