@@ -15,16 +15,19 @@ off-diagonal tidal matrix (``RUN_2D``, 64^2, 400 Strang steps) is written
 into the temporary directory and printed the same way, as
 ``run <generated>/run_2d.json``.
 
-Four variants of ``configs/standard_1d.json`` and two of ``RUN_2D``,
-written into the temporary directory, then take ``run``'s abort paths
-(exit 3).  In 1D: the armed spectral-edge monitor (``SpectralEdgeContact``
+Four variants of ``configs/standard_1d.json``, two of ``RUN_2D`` and two
+of ``field_3d.json``, written into the temporary directory, then take
+``run``'s abort paths (exit 3).  In 1D: the armed spectral-edge monitor (``SpectralEdgeContact``
 at step 761), the same with a record every step (761 rows, so the partial
 series ends part way through a stack of record snapshots), a packet
 drifting into the margin band (``BoundaryContact`` at step 170) and one
 released inside it (initial ``BoundaryContact``).  In 2D: a heavy packet
 under the armed monitor (``SpectralEdgeContact`` at step 48) and a light,
-fast one (``BoundaryContact`` at step 113).  Their lines name the changed
-keys and add the digest of stderr, which carries the abort message:
+fast one (``BoundaryContact`` at step 113).  In 3D: the same light, fast
+packet over 400 steps (``BoundaryContact`` at step 113, twelve rows) and
+one released inside the margin band (initial ``BoundaryContact``).  Their
+lines name the changed keys and add the digest of stderr, which carries
+the abort message:
 
     run <config> <key>=<value>... exit=<code> sha256=<digest> stderr_sha256=<digest>
 
@@ -53,14 +56,19 @@ RUN_2D = {
     "curvature": {"tidal": [1e-4, 3e-5, 3e-5, -5e-5], "vacuum": False},
     "evolve": {"dt": 0.1, "steps": 400, "record_every": 10, "scheme": "strang"},
 }
+FIELD_3D = ROOT / "perfbench" / "templates" / "field_3d.json"
 # (base config, (block, key, value) settings made in it): one aborting run
-# per entry; the base is "1d" (configs/standard_1d.json) or "2d" (RUN_2D)
+# per entry; the base is "1d" (configs/standard_1d.json), "2d" (RUN_2D) or
+# "3d" (FIELD_3D)
 ABORTS = (("1d", (("evolve", "spectral_mass_tol", 1e-10),)),
           ("1d", (("evolve", "record_every", 1), ("evolve", "spectral_mass_tol", 1e-10))),
           ("1d", (("packet", "v0", [0.03]),)),
           ("1d", (("packet", "x0", [5.0]),)),
           ("2d", (("packet", "mass", 300), ("evolve", "spectral_mass_tol", 1e-10))),
-          ("2d", (("packet", "v0", [0.03, 0.0]), ("packet", "mass", 5))))
+          ("2d", (("packet", "v0", [0.03, 0.0]), ("packet", "mass", 5))),
+          ("3d", (("evolve", "steps", 400), ("packet", "v0", [0.03, 0.0, 0.0]),
+                  ("packet", "mass", 5))),
+          ("3d", (("packet", "x0", [5.0, 0.0, 0.0]),)))
 
 
 def scenarios() -> list[tuple[str, Path]]:
@@ -69,7 +77,7 @@ def scenarios() -> list[tuple[str, Path]]:
     for path in sorted((ROOT / "configs").glob("*.json")):
         prefix = path.stem.split("_")[0]
         jobs.append((prefix if prefix in COMMANDS else "run", path))
-    jobs.append(("run", ROOT / "perfbench" / "templates" / "field_3d.json"))
+    jobs.append(("run", FIELD_3D))
     return jobs
 
 
@@ -93,7 +101,8 @@ def main() -> int:
         print(f"run <generated>/{config.name} exit={code} sha256={digest}")
         std = ROOT / "configs" / "standard_1d.json"
         bases = {"1d": (str(std.relative_to(ROOT)), std.read_text()),
-                 "2d": (f"<generated>/{config.name}", json.dumps(RUN_2D))}
+                 "2d": (f"<generated>/{config.name}", json.dumps(RUN_2D)),
+                 "3d": (str(FIELD_3D.relative_to(ROOT)), FIELD_3D.read_text())}
         for base, settings in ABORTS:
             label, text = bases[base]
             doc = json.loads(text)

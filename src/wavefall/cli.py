@@ -6,7 +6,8 @@
     wavefall converge --config study.json    --out report.json
 
 Exit codes: 0 success/pass, 1 ran-but-failed (a pass/fail command whose
-check came out negative), 2 validation error, 3 runtime abort (a monitor
+check came out negative), 2 validation error (an unreadable config or an
+``--out`` with no directory to go into included), 3 runtime abort (a monitor
 tripped: BoundaryContact for mass in the position margin band, or
 SpectralEdgeContact for mass at the Nyquist edge when
 ``evolve.spectral_mass_tol`` is set; ``run`` flushes the partial CSV with a
@@ -19,12 +20,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
 from .classical import exact_flow
 from .config import DEFAULT_ORDER_BANDS, ScenarioConfig, load_scenario
-from .errors import BoundaryContact, SimulationError
+from .errors import BoundaryContact, ConfigError, SimulationError
 from .experiments import (
     convergence_study,
     ripple_check,
@@ -120,6 +122,15 @@ def cmd_converge(scenario: ScenarioConfig, out: str) -> int:
     return 0 if doc["pass"] else 1
 
 
+def _check_out(path: str) -> None:
+    """Fail before any work when ``path`` cannot be written as a file."""
+    out = Path(path)
+    if not out.parent.is_dir():
+        raise ConfigError(f"output directory {str(out.parent)!r} does not exist")
+    if out.is_dir():
+        raise ConfigError(f"output path {path!r} is a directory")
+
+
 _COMMANDS = {"run": cmd_run, "wep": cmd_wep, "ripple": cmd_ripple, "converge": cmd_converge}
 
 
@@ -140,6 +151,7 @@ def main(argv=None) -> int:
 
     try:
         scenario = load_scenario(args.config)
+        _check_out(args.out)
     except SimulationError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

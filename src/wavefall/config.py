@@ -204,6 +204,10 @@ class ScenarioConfig:
                 doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from exc
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         return cls.from_dict(doc)
 
     def validate(self) -> None:

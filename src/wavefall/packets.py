@@ -265,7 +265,8 @@ def make_packet(grid: SpectralGrid, shape: PacketShape, x0, v0, mass: float) -> 
     psi = env.astype(complex)
     if speed > 0:
         psi = _boost(grid, psi, mass, v0)
-    psi = psi / math.sqrt(float((np.abs(psi) ** 2).sum()) * grid.cell_volume)
+    psi = np.divide(psi, math.sqrt(float((np.abs(psi) ** 2).sum()) * grid.cell_volume),
+                    out=psi)
 
     wf = WaveFunction(grid=grid, psi=psi, mass=mass)
 
@@ -335,10 +336,12 @@ def moments(grid: SpectralGrid, psi: np.ndarray, mass: float,
     its contents are overwritten.
     """
     axes = tuple(range(-grid.dim, 0))
-    rho = np.abs(psi) ** 2
+    rho = np.abs(psi)
+    np.square(rho, out=rho)
     total = rho.sum(axis=axes)
     mean_x = _centroid(grid.position_meshes, rho, total)
-    w = np.abs(transform(psi, work, dim=grid.dim)) ** 2
+    w = np.abs(transform(psi, work, dim=grid.dim))
+    np.square(w, out=w)
     return (total * grid.cell_volume, mean_x,
             _centroid(grid.wavenumber_meshes, w, w.sum(axis=axes)) / (TWO_PI * mass),
             _covariance(grid, rho, total, mean_x))
@@ -356,7 +359,8 @@ def mean_position(wf: WaveFunction) -> np.ndarray:
 
 def mean_velocity_spectral(wf: WaveFunction) -> np.ndarray:
     """<k> / (2 pi mu) from the spectral density |A(k)|^2."""
-    w = np.abs(wf.grid.forward(wf.psi)) ** 2
+    # the +-1 centre signs of grid.forward drop out of |A|^2 (as in moments)
+    w = np.abs(transform(wf.psi)) ** 2
     return _centroid(wf.grid.wavenumber_meshes, w, w.sum()) / (TWO_PI * wf.mass)
 
 

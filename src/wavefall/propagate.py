@@ -216,6 +216,38 @@ def _band_mass(parts: list[np.ndarray], dV: float) -> float:
     return float(total) * dV
 
 
+def _padded(grid: SpectralGrid) -> tuple[np.ndarray, np.ndarray]:
+    """A zeroed complex buffer of shape ``(n,) + (n + 1,) * (dim - 1)`` and
+    its ``grid.shape`` view.  The pad cell on every axis after the first
+    keeps each transform axis off a power-of-two stride (at 64^3 the 64 KiB
+    and 1 KiB strides put a line's samples in a few cache sets); in 1D the
+    view is the whole buffer."""
+    n = grid.n
+    whole = np.zeros((n,) + (n + 1,) * (grid.dim - 1), dtype=complex)
+    return whole, whole[(slice(None),) + (slice(0, n),) * (grid.dim - 1)]
+
+
+def _kinetic_factor(grid: SpectralGrid, scale: float, out: np.ndarray) -> np.ndarray:
+    """``np.exp(-1j * grid.k_squared * scale)`` written into ``out`` (a
+    ``grid.shape`` array), bit for bit, without building ``k_squared``.
+
+    k^2 depends on |m| per axis only, so the factor is taken on the
+    ``(n/2 + 1)^dim`` table over |m| (summed in ``k_squared``'s order,
+    ``((0 + kx^2) + ky^2) + kz^2``; a mode and its negative square to the
+    same bits) and gathered with ``min(i, n - i)`` per axis.  The product
+    keeps the association ``(-1j * k^2) * scale``, which makes the k = 0
+    factor ``1 + 0j`` rather than ``1 - 0j``.  Returns ``out``.
+    """
+    half = grid.n // 2
+    k2 = grid.axis_wavenumbers[:half + 1] ** 2
+    table = np.zeros((half + 1,) * grid.dim)
+    for ax in range(grid.dim):
+        table = table + k2.reshape((-1,) + (1,) * (grid.dim - 1 - ax))
+    i = np.arange(grid.n)
+    out[...] = np.exp(-1j * table * scale)[np.ix_(*(np.minimum(i, grid.n - i),) * grid.dim)]
+    return out
+
+
 def evolve(wf: WaveFunction, tidal: TidalMatrix, scheme: StepScheme,
            cfg: EvolveConfig, exact_rate: bool = False) -> MomentSeries:
     """Run the split-step scheme and record moments every ``record_every`` steps.
@@ -234,10 +266,19 @@ def evolve(wf: WaveFunction, tidal: TidalMatrix, scheme: StepScheme,
     written).  The kicks, both transforms and the kinetic factor act on it
     in place, so between the forward and the inverse transform it holds the
     spectrum; an in-place transform is bit-identical to one into another
-    buffer.  The state buffer becomes the final state of the returned or
-    partial series.  Raises BoundaryContact (with the partial series
-    attached) as soon as more than ``boundary_mass_tol`` probability sits
-    in the margin band.
+    buffer.  The state, the kinetic and tidal factors and the one-field
+    record work buffer are zeroed padded buffers of shape
+    ``(n,) + (n + 1,) * (dim - 1)`` (``_padded``; the grid shape in 1D),
+    so no transform axis has a power-of-two stride.  The three phase
+    multiplies run over the whole contiguous buffers and keep the pads
+    exactly zero (zero times a finite factor); the transforms, the monitor
+    slabs and the records read the ``grid.shape`` views, and the factors
+    are built straight into their views.  The state's view becomes the
+    final state of the returned or partial series, so its ``psi`` is not
+    C-contiguous in 2D and 3D; every observable of it equals that of a
+    contiguous copy to the bit.  Raises BoundaryContact (with the partial
+    series attached) as soon as more than ``boundary_mass_tol``
+    probability sits in the margin band.
 
     Each record copies the state into a stack of snapshots of at most
     ``RECORD_STACK_BYTES`` (and at most one per row), allocated once with a
@@ -247,7 +288,9 @@ def evolve(wf: WaveFunction, tidal: TidalMatrix, scheme: StepScheme,
     every row recorded before its step.  When the budget holds one field
     only (any field larger than half of it, e.g. 64^2 and up), the stack is
     the view ``state[None]``, taken at its record step without a copy, and
-    its one-field work buffer is the only other field the run allocates.
+    its padded one-field work buffer is the only other field the run
+    allocates besides the factors.  The budget counts ``grid.shape``
+    fields, without pads.
     Every row equals a one-field record to the bit (``moments``).
 
     With ``spectral_mass_tol`` set, the probability in the spectral edge band
@@ -267,14 +310,16 @@ def evolve(wf: WaveFunction, tidal: TidalMatrix, scheme: StepScheme,
     grid, mass, dt = wf.grid, wf.mass, cfg.dt
     epsilon = _check_step(grid, mass, dt, tidal)
 
-    kin = np.exp(-1j * grid.k_squared * (dt / (4.0 * np.pi * mass)))
+    # each factor is built into its padded buffer: no unpadded copy stays alive
+    kin, kin_inner = _padded(grid)
+    _kinetic_factor(grid, dt / (4.0 * np.pi * mass), kin_inner)
     # strang: half kick, drift, half kick; lie: drift, full kick
-    if scheme is StepScheme.STRANG:
-        tid_first = tid_last = np.exp(
-            1j * _tidal_phase_field(grid, tidal, mass, dt / 2.0, exact_rate))
-    else:
-        tid_first = None
-        tid_last = np.exp(1j * _tidal_phase_field(grid, tidal, mass, dt, exact_rate))
+    strang = scheme is StepScheme.STRANG
+    tid_last, tid_inner = _padded(grid)
+    np.multiply(1j, _tidal_phase_field(grid, tidal, mass, dt / 2.0 if strang else dt,
+                                       exact_rate), out=tid_inner)
+    np.exp(tid_inner, out=tid_inner)
+    tid_first = tid_last if strang else None
     dV = grid.cell_volume
 
     # one row per record, allocated once; an abort keeps the rows taken so far
@@ -287,11 +332,16 @@ def evolve(wf: WaveFunction, tidal: TidalMatrix, scheme: StepScheme,
     mean_v = np.empty((n_rows, grid.dim))
     cov = np.empty((n_rows, grid.dim, grid.dim))
 
-    # never reused across calls: the state is handed out as a final state
-    state = wf.psi.copy()
+    # never reused across calls: the state is handed out as a final state;
+    # the loop multiplies whole padded buffers and transforms their views
+    whole, state = _padded(grid)
+    state[...] = wf.psi
     depth = min(n_rows, max(1, RECORD_STACK_BYTES // state.nbytes))
-    snaps = state[None] if depth == 1 else np.empty((depth,) + grid.shape, dtype=state.dtype)
-    snaps_work = np.empty_like(snaps)
+    if depth == 1:
+        snaps, snaps_work = state[None], _padded(grid)[1][None]
+    else:
+        snaps = np.empty((depth,) + grid.shape, dtype=state.dtype)
+        snaps_work = np.empty_like(snaps)
     margin = [state[slab] for slab in _band_slabs(
         grid, grid.axis_positions,
         grid.extent / 2.0 - cfg.boundary_margin_fraction * grid.extent)]
@@ -358,13 +408,13 @@ def evolve(wf: WaveFunction, tidal: TidalMatrix, scheme: StepScheme,
     # bitwise commutative, and outputs are promised byte for byte
     for step in range(1, cfg.n_steps + 1):
         if tid_first is not None:
-            np.multiply(tid_first, state, out=state)
+            np.multiply(tid_first, whole, out=whole)
         transform(state, state)
         if edge:
             edge_mass = _band_mass(edge, dV)
-        np.multiply(kin, state, out=state)
+        np.multiply(kin, whole, out=whole)
         transform(state, state, inverse=True)
-        np.multiply(tid_last, state, out=state)
+        np.multiply(tid_last, whole, out=whole)
         # a mass past its tolerance is past every earlier one, hence a new peak
         margin_mass = _band_mass(margin, dV)
         if margin_mass > peak_margin:

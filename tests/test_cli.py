@@ -357,3 +357,42 @@ class TestMalformedConfigs:
         assert "Traceback" not in done.stderr
         assert "Warning" not in done.stderr
         assert not out.exists()
+
+
+class TestUnusablePaths:
+    # a config that cannot be read as text, or an output with no directory
+    # to go into, is a validation error: exit 2 with one ConfigError line
+
+    @pytest.mark.parametrize("case", ["directory", "not_utf8"])
+    def test_unreadable_config_exits_2(self, tmp_path, case):
+        config = tmp_path / "config.json"
+        if case == "directory":
+            config.mkdir()
+        else:
+            config.write_bytes(json.dumps(base_doc()).encode("utf-16"))
+        out = tmp_path / "out.csv"
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        done = subprocess.run(
+            [sys.executable, "-m", "wavefall", "run", "--config", str(config),
+             "--out", str(out)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 2
+        assert done.stderr.startswith("ConfigError: ")
+        assert done.stderr.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["missing_directory", "directory"])
+    def test_unusable_out_exits_2_before_any_step(self, tmp_path, capsys, monkeypatch, case):
+        import wavefall.cli as cli
+        calls = []
+        monkeypatch.setattr(ScenarioConfig, "build_packet",
+                            lambda *a, **k: calls.append("build_packet"))
+        monkeypatch.setattr(cli, "evolve", lambda *a, **k: calls.append("evolve"))
+        out = tmp_path / "missing" / "series.csv" if case == "missing_directory" else tmp_path
+        code = main(["run", "--config", write(tmp_path, base_doc()), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("ConfigError: output ")
+        assert err.count("\n") == 1
+        assert calls == []
+        assert out.is_dir() if case == "directory" else not out.parent.exists()

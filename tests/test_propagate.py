@@ -36,7 +36,12 @@ from wavefall import (
 )
 from wavefall import propagate
 from wavefall.packets import covariance, moments
-from wavefall.propagate import SPECTRAL_EDGE_FRACTION, _band_slabs, _tidal_phase_field
+from wavefall.propagate import (
+    SPECTRAL_EDGE_FRACTION,
+    _band_slabs,
+    _kinetic_factor,
+    _tidal_phase_field,
+)
 from wavefall.spectral import SpectralGrid
 
 TWO_PI = 2.0 * np.pi
@@ -373,9 +378,11 @@ def reference_evolve(wf, tidal, scheme, cfg):
 
 class TestLeanLoop:
     @pytest.mark.parametrize("scheme", [StepScheme.LIE, StepScheme.STRANG])
-    @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_raw_transform_pair_matches_reference_to_the_bit(self, dim, scheme):
-        grid = SpectralGrid(dim=dim, n=LEAN_N[dim], extent=20.0)
+    # and a 3D grid whose n is not a power of two
+    @pytest.mark.parametrize("dim,n", [(1, LEAN_N[1]), (2, LEAN_N[2]), (3, LEAN_N[3]), (3, 48)],
+                             ids=["1", "2", "3", "3-48"])
+    def test_raw_transform_pair_matches_reference_to_the_bit(self, dim, n, scheme):
+        grid = SpectralGrid(dim=dim, n=n, extent=20.0)
         x0 = [1.5, -1.0, 0.5][:dim]
         v0 = [0.002, -0.001, 0.001][:dim]
         outward = make_packet(grid, PacketShape.gaussian(1.0), x0, v0, 50.0)
@@ -510,6 +517,34 @@ class TestLeanLoop:
             hits[slab] += 1
         assert len(slabs) == count
         assert np.array_equal(hits, band.astype(int))
+
+
+class TestPaddedLayout:
+    # evolve steps in padded buffers and hands out a view into one of them
+
+    @pytest.mark.parametrize("dim,n", [(d, n) for d in (1, 2, 3) for n in (8, 48, 64, 96)]
+                             + [(1, 768)])
+    def test_kinetic_factor_equals_k_squared_exp_to_the_bit(self, dim, n):
+        grid = SpectralGrid(dim=dim, n=n, extent=20.0)
+        scale = STD_DT / (4.0 * np.pi * STD_MASS)
+        got = _kinetic_factor(grid, scale, np.empty(grid.shape, dtype=complex))
+        want = np.exp(-1j * grid.k_squared * scale)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("scheme", [StepScheme.LIE, StepScheme.STRANG])
+    @pytest.mark.parametrize("dim,n", [(1, LEAN_N[1]), (2, LEAN_N[2]), (3, LEAN_N[3]), (3, 48)])
+    def test_final_state_view_observables_equal_contiguous_to_the_bit(self, dim, n, scheme):
+        grid = SpectralGrid(dim=dim, n=n, extent=20.0)
+        wf = make_packet(grid, PacketShape.gaussian(1.0), [1.5, -1.0, 0.5][:dim],
+                         [0.002, -0.001, 0.001][:dim], 50.0)
+        state = evolve(wf, TidalMatrix(LEAN_TIDAL[dim]), scheme,
+                       EvolveConfig(dt=STD_DT, n_steps=7)).final_state
+        dense = replace(state, psi=np.ascontiguousarray(state.psi))
+        assert dense.psi.flags.c_contiguous
+        assert np.array_equal(dense.psi, state.psi)
+        for observable in (norm, mean_position, mean_velocity_spectral, covariance):
+            got, want = np.asarray(observable(state)), np.asarray(observable(dense))
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestBufferOwnership:
