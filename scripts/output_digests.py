@@ -17,11 +17,11 @@ into the temporary directory and printed the same way, as
 
 Four variants of ``configs/standard_1d.json``, two of ``RUN_2D`` and two
 of ``field_3d.json``, written into the temporary directory, then take
-``run``'s abort paths (exit 3).  In 1D: the armed spectral-edge monitor (``SpectralEdgeContact``
-at step 761), the same with a record every step (761 rows, so the partial
-series ends part way through a stack of record snapshots), a packet
-drifting into the margin band (``BoundaryContact`` at step 170) and one
-released inside it (initial ``BoundaryContact``).  In 2D: a heavy packet
+``run``'s abort paths (exit 3).  In 1D: the armed spectral-edge monitor
+(``SpectralEdgeContact`` at step 761), the same with a record every step
+(761 rows, so the partial series ends part way through a stack of record
+snapshots), a packet drifting into the margin band (``BoundaryContact`` at
+step 170) and one released inside it (initial ``BoundaryContact``).  In 2D: a heavy packet
 under the armed monitor (``SpectralEdgeContact`` at step 48) and a light,
 fast one (``BoundaryContact`` at step 113).  In 3D: the same light, fast
 packet over 400 steps (``BoundaryContact`` at step 113, twelve rows) and
