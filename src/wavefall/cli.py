@@ -134,7 +134,7 @@ def _check_out(path: str) -> None:
 _COMMANDS = {"run": cmd_run, "wep": cmd_wep, "ripple": cmd_ripple, "converge": cmd_converge}
 
 
-def main(argv=None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wavefall",
         description="Split-step wave-packet free fall in a weakly curved local frame.")
@@ -147,7 +147,15 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="scenario JSON path")
         p.add_argument("--out", required=True, help="output file path")
-    args = parser.parse_args(argv)
+    return parser
+
+
+# built once: building it costs more than ten times as much as parsing an argv
+_PARSER = _build_parser()
+
+
+def main(argv=None) -> int:
+    args = _PARSER.parse_args(argv)
 
     try:
         scenario = load_scenario(args.config)

@@ -24,6 +24,7 @@ mass enters the spectral edge band.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -39,7 +40,7 @@ from .errors import (
     TooFewRecords,
 )
 from .packets import TWO_PI, WaveFunction, moments
-from .spectral import SpectralGrid, transform
+from .spectral import SpectralGrid, fft_ufunc, ifft_ufunc, transform
 
 # the spectral monitor watches |k_i| >= (1 - SPECTRAL_EDGE_FRACTION) k_max
 SPECTRAL_EDGE_FRACTION = 0.1
@@ -254,12 +255,16 @@ def evolve(wf: WaveFunction, tidal: TidalMatrix, scheme: StepScheme,
 
     The phase factors are precomputed once; each step applies the same
     factors as composing ``tidal_step``/``kinetic_step``, equal to them up
-    to roundoff.  The kinetic factor goes between the index-referenced
-    transform pair ``spectral.transform`` (numpy's transform ufuncs, bit for
-    bit ``fftn``/``ifftn``): the centre signs S that ``grid.forward``/
-    ``inverse`` apply cancel, since S^2 = 1 and the kinetic factor is
-    diagonal, and a +-1 multiply is exact, so the state is bit-identical to
-    a loop through them.
+    to roundoff.  The kinetic factor goes between an index-referenced
+    transform pair (numpy's transform ufuncs, bit for bit ``fftn``/
+    ``ifftn``): the centre signs S that ``grid.forward``/``inverse`` apply
+    cancel, since S^2 = 1 and the kinetic factor is diagonal, and a +-1
+    multiply is exact, so the state is bit-identical to a loop through them.
+    A 1D step calls the ufuncs ``spectral.fft_ufunc``/``ifft_ufunc``
+    directly, with the scale ``1/sqrt(n)`` taken once per run, which is what
+    ``spectral.transform`` does for a 1D field; a 2D/3D step goes through
+    ``transform``.  The steps run in blocks of ``record_every``, each block
+    but a short last one ending in a record, so no step tests its index.
 
     The run steps in one complex buffer allocated once per call, before the
     step-0 record: the state, which starts as a copy of ``wf.psi`` (never
@@ -304,7 +309,9 @@ def evolve(wf: WaveFunction, tidal: TidalMatrix, scheme: StepScheme,
     Both monitors sum over slab views taken once on the state, and
     each keeps its peak in a local that the step compares against; the
     abort path runs only when a peak passes its tolerance, so a run that
-    never trips pays no per-step call beyond the slab sums.
+    never trips pays no per-step call beyond the slab sums.  A 1D step sums
+    the margin's two end runs inline, in ``_band_mass``'s order and to its
+    bits; the spectral edge and every 2D/3D band go through ``_band_mass``.
     """
     scheme = StepScheme(scheme)
     grid, mass, dt = wf.grid, wf.mass, cfg.dt
@@ -404,33 +411,52 @@ def evolve(wf: WaveFunction, tidal: TidalMatrix, scheme: StepScheme,
         abort(BoundaryContact, f"margin mass {peak_margin:.3e} exceeds {margin_tol:.1e}",
               0, peak_margin, peak_edge)
 
-    # every product keeps its operand order: numpy's complex multiply is not
-    # bitwise commutative, and outputs are promised byte for byte
-    for step in range(1, cfg.n_steps + 1):
-        if tid_first is not None:
-            np.multiply(tid_first, whole, out=whole)
-        transform(state, state)
-        if edge:
-            edge_mass = _band_mass(edge, dV)
-        np.multiply(kin, whole, out=whole)
-        transform(state, state, inverse=True)
-        np.multiply(tid_last, whole, out=whole)
-        # a mass past its tolerance is past every earlier one, hence a new peak
-        margin_mass = _band_mass(margin, dV)
-        if margin_mass > peak_margin:
-            peak_margin = margin_mass
-            if margin_mass > margin_tol:
-                abort(BoundaryContact,
-                      f"margin mass {margin_mass:.3e} exceeds {margin_tol:.1e}",
-                      step, peak_margin, peak_edge)
-        if edge and edge_mass > peak_edge:
-            peak_edge = edge_mass
-            if edge_mass > edge_tol:
-                abort(SpectralEdgeContact,
-                      f"spectral edge mass {edge_mass:.3e} exceeds {edge_tol:.1e}",
-                      step, peak_margin, peak_edge)
-        if step % every == 0:
-            record(step // every)
+    # 1D steps call the transform ufuncs and sum the margin's two end runs
+    # inline, left then right as _band_mass does, to the same bits (a band
+    # narrower than a cell at the right end has no right run: an empty view,
+    # whose 0.0 adds exactly); 2D/3D steps go through transform and _band_mass
+    flat = grid.dim == 1
+    scale = 1.0 / math.sqrt(grid.n)
+    lo, hi = (margin + [state[:0]])[:2]
+    # the steps run in record blocks, the last one short when every does not
+    # divide n_steps.  Every product keeps its operand order: numpy's complex
+    # multiply is not bitwise commutative, and outputs are promised byte for byte
+    for first in range(1, cfg.n_steps + 1, every):
+        last = min(first + every - 1, cfg.n_steps)
+        for step in range(first, last + 1):
+            if tid_first is not None:
+                np.multiply(tid_first, whole, out=whole)
+            if flat:
+                fft_ufunc(state, scale, out=state)
+            else:
+                transform(state, state)
+            if edge:
+                edge_mass = _band_mass(edge, dV)
+            np.multiply(kin, whole, out=whole)
+            if flat:
+                ifft_ufunc(state, scale, out=state)
+            else:
+                transform(state, state, inverse=True)
+            np.multiply(tid_last, whole, out=whole)
+            if flat:
+                margin_mass = (np.vdot(lo, lo).real + np.vdot(hi, hi).real) * dV
+            else:
+                margin_mass = _band_mass(margin, dV)
+            # a mass past its tolerance is past every earlier one, hence a new peak
+            if margin_mass > peak_margin:
+                peak_margin = margin_mass
+                if margin_mass > margin_tol:
+                    abort(BoundaryContact,
+                          f"margin mass {margin_mass:.3e} exceeds {margin_tol:.1e}",
+                          step, peak_margin, peak_edge)
+            if edge and edge_mass > peak_edge:
+                peak_edge = edge_mass
+                if edge_mass > edge_tol:
+                    abort(SpectralEdgeContact,
+                          f"spectral edge mass {edge_mass:.3e} exceeds {edge_tol:.1e}",
+                          step, peak_margin, peak_edge)
+        if last % every == 0:
+            record(last // every)
 
     return series(n_rows, cfg.n_steps, peak_margin, peak_edge)
 

@@ -12,12 +12,15 @@ Both directions carry N^(-d/2); discrete Parseval sum|f|^2 == sum|A|^2 holds
 exactly up to rounding.  Complex fields are plain complex128 ndarrays of
 shape ``grid.shape`` (row-major); there is no wrapper type.
 
-``transform`` is the index-referenced unitary FFT the step loop, the
+``transform`` is the index-referenced unitary FFT the 2D/3D step loop, the
 moment records and ``SpectralGrid.forward``/``inverse`` run on: numpy's
 transform ufuncs called directly, without the per-call argument handling
 of ``numpy.fft``'s Python functions.  It transforms the trailing axes of
 its input, so the records take one call for a whole stack of snapshots,
-and it may transform a field in place.
+and it may transform a field in place.  The 1D step loop calls the two
+ufuncs, exported here as ``fft_ufunc`` and ``ifft_ufunc``, itself: one
+call per transform with the scale ``1/sqrt(n)``, which is what
+``transform`` does for a 1D field, without its Python frame.
 """
 
 from __future__ import annotations
@@ -32,6 +35,10 @@ import numpy as np
 from numpy.fft import _pocketfft_umath
 
 from .errors import SizeMismatch
+
+# ufunc(field, scale, out=...) transforms the last axis and multiplies by scale
+fft_ufunc = _pocketfft_umath.fft
+ifft_ufunc = _pocketfft_umath.ifft
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,7 +162,7 @@ def transform(field: np.ndarray, out: np.ndarray | None = None,
     writes into ``out`` (allocated when None) and the others transform it in
     place; ``field`` is only read unless it is ``out``.  Returns ``out``.
     """
-    ufunc = _pocketfft_umath.ifft if inverse else _pocketfft_umath.fft
+    ufunc = ifft_ufunc if inverse else fft_ufunc
     if out is None:
         out = np.empty_like(field, dtype=np.result_type(field.dtype, 1j))
     if dim is None:

@@ -37,6 +37,22 @@ def read_csv(path):
     return lines, header, np.asarray(rows)
 
 
+class TestArguments:
+    def test_bad_arguments_exit_2_on_every_call(self, tmp_path, capsys):
+        # one parser serves every call: a bad argv leaves it as it was
+        out = tmp_path / "series.csv"
+        for _ in range(2):
+            with pytest.raises(SystemExit) as info:
+                main(["run", "--config", write(tmp_path, base_doc())])
+            assert info.value.code == 2
+            assert "the following arguments are required: --out" in capsys.readouterr().err
+            assert main(["run", "--config", write(tmp_path, base_doc()), "--out", str(out)]) == 0
+            with pytest.raises(SystemExit) as info:
+                main(["bogus"])
+            assert info.value.code == 2
+            assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
 class TestConfigLoading:
     def test_roundtrip(self, tmp_path):
         cfg = ScenarioConfig.from_file(write(tmp_path, base_doc()))

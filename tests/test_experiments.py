@@ -1,3 +1,6 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from wavefall import (
     convergence_study,
     eotvos_ratio,
     evolve,
+    load_scenario,
     make_packet,
     phase_difference_check,
     ripple_check,
@@ -23,6 +27,8 @@ from wavefall import (
     wep_shape_sweep,
 )
 from wavefall import experiments
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 # -2 pi mu R <x> dt for mu=100, R=1e-4, <x>=2, dt=0.1
 PREDICTED_DK_STD = -0.012566370614359173
@@ -219,6 +225,18 @@ class TestArmedSpectralMonitor:
         scenario = std_scenario(n_steps=1568, spectral_mass_tol=1e-10)
         with pytest.raises(SpectralEdgeContact):
             convergence_study(scenario, dt_list=(0.4, 0.2, 0.1))
+
+    def test_shipped_mass_sweep_clears_the_edge(self):
+        # N=768 holds mu=200 over the quarter period with a margin of about
+        # 6x (peak edge mass 1.6e-11; mu=50 and 100 about 1e-17): a config
+        # edit that eats it fails here instead of wrapping silently
+        scenario = load_scenario(CONFIGS / "wep_mass_1d.json")
+        cfg = replace(scenario.evolve_cfg, spectral_mass_tol=1e-10)
+        for mass in scenario.masses:
+            series = evolve(scenario.build_packet(mass=mass), scenario.tidal,
+                            scenario.scheme, cfg)
+            assert series.n_records == cfg.n_steps // cfg.record_every + 1
+            assert series.diagnostics["max_spectral_edge_mass"] < 1e-10
 
 
 class TestEotvosRatio:

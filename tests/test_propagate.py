@@ -390,9 +390,12 @@ class TestLeanLoop:
         inward = make_packet(grid, PacketShape.gaussian(1.0), x0, [-v for v in v0], 50.0)
         tidal = TidalMatrix(LEAN_TIDAL[dim])
         # records and the armed edge monitor read the spectrum buffer the
-        # transforms write; 1e-10 never trips here (peak edge mass <= 1e-15)
+        # transforms write; 1e-10 never trips here (peak edge mass <= 1e-15).
+        # The steps run in record blocks: every=7 ends on a short block,
+        # every=40 is one block ending in a record, every=50 one short block
         for wf, every, tol in ((outward, 7, None), (outward, 1, None), (outward, 7, 1e-10),
-                               (outward, 1, 1e-10), (inward, 7, 1e-10)):
+                               (outward, 1, 1e-10), (inward, 7, 1e-10),
+                               (outward, 40, None), (outward, 50, 1e-10)):
             cfg = EvolveConfig(dt=STD_DT, n_steps=40, record_every=every,
                                spectral_mass_tol=tol)
             series = evolve(wf, tidal, scheme, cfg)
@@ -404,6 +407,24 @@ class TestLeanLoop:
             for got, want in ((series.t, t), (series.norm, nrm), (series.mean_x, mx),
                               (series.mean_v, mv), (series.cov, cov)):
                 assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("scheme", [StepScheme.LIE, StepScheme.STRANG])
+    def test_1d_margin_without_right_run_matches_reference(self, scheme):
+        # a band under one cell wide at the right end holds x_0 = -L/2 only;
+        # the 1D step sums it with an empty right run
+        grid = SpectralGrid(dim=1, n=LEAN_N[1], extent=20.0)
+        cfg = EvolveConfig(dt=STD_DT, n_steps=40, record_every=7,
+                           boundary_margin_fraction=0.5 / grid.n)
+        assert len(_band_slabs(grid, grid.axis_positions,
+                               grid.extent / 2.0 - cfg.boundary_margin_fraction * grid.extent)) == 1
+        wf = make_packet(grid, PacketShape.gaussian(1.0), [-1.5], [-0.002], 50.0)
+        series = evolve(wf, TidalMatrix(LEAN_TIDAL[1]), scheme, cfg)
+        (t, nrm, mx, mv, cov), psi, peaks, stop = reference_evolve(
+            wf, TidalMatrix(LEAN_TIDAL[1]), scheme, cfg)
+        assert stop is None
+        assert np.array_equal(series.final_state.psi, psi)
+        assert series.diagnostics["max_margin_mass"] == peaks["max_margin_mass"] > 0.0
+        assert np.array_equal(series.mean_x, mx)
 
     @pytest.mark.parametrize("scheme", [StepScheme.LIE, StepScheme.STRANG])
     @pytest.mark.parametrize("dim", [1, 2, 3])
