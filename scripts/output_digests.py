@@ -25,11 +25,19 @@ step 170) and one released inside it (initial ``BoundaryContact``).  In 2D: a he
 under the armed monitor (``SpectralEdgeContact`` at step 48) and a light,
 fast one (``BoundaryContact`` at step 113).  In 3D: the same light, fast
 packet over 400 steps (``BoundaryContact`` at step 113, twelve rows) and
-one released inside the margin band (initial ``BoundaryContact``).  Their
-lines name the changed keys and add the digest of stderr, which carries
-the abort message:
+one released inside the margin band (initial ``BoundaryContact``).
 
-    run <config> <key>=<value>... exit=<code> sha256=<digest> stderr_sha256=<digest>
+Three more variants of ``configs/standard_1d.json`` take the other
+commands' failure paths.  Two exit 1 with a report whose ``pass`` is
+false: ``wep`` on masses 50 and 200, where the unarmed mu=200 member wraps
+round the Nyquist edge, and ``converge`` with an ``order_band`` of
+[2.5, 3.0] that the Strang order 2.000004 misses.  One ``converge`` run
+aborts with exit 3: a light, drifting packet trips ``BoundaryContact`` at
+step 18 of its dt=0.4 member.  Every variant's line names the changed
+keys (``<block>.<key>``, or ``<key>`` at the top level) and adds the
+digest of stderr, which carries any abort message:
+
+    <command> <config> <key>=<value>... exit=<code> sha256=<digest> stderr_sha256=<digest>
 
 Two checkouts give byte-identical outputs exactly when their printouts are
 equal, so a behaviour-neutral change is checked with
@@ -57,18 +65,23 @@ RUN_2D = {
     "evolve": {"dt": 0.1, "steps": 400, "record_every": 10, "scheme": "strang"},
 }
 FIELD_3D = ROOT / "perfbench" / "templates" / "field_3d.json"
-# (base config, (block, key, value) settings made in it): one aborting run
-# per entry; the base is "1d" (configs/standard_1d.json), "2d" (RUN_2D) or
-# "3d" (FIELD_3D)
-ABORTS = (("1d", (("evolve", "spectral_mass_tol", 1e-10),)),
-          ("1d", (("evolve", "record_every", 1), ("evolve", "spectral_mass_tol", 1e-10))),
-          ("1d", (("packet", "v0", [0.03]),)),
-          ("1d", (("packet", "x0", [5.0]),)),
-          ("2d", (("packet", "mass", 300), ("evolve", "spectral_mass_tol", 1e-10))),
-          ("2d", (("packet", "v0", [0.03, 0.0]), ("packet", "mass", 5))),
-          ("3d", (("evolve", "steps", 400), ("packet", "v0", [0.03, 0.0, 0.0]),
-                  ("packet", "mass", 5))),
-          ("3d", (("packet", "x0", [5.0, 0.0, 0.0]),)))
+# (command, base config, (block, key, value) settings made in it): one
+# failing run per entry; the base is "1d" (configs/standard_1d.json), "2d"
+# (RUN_2D) or "3d" (FIELD_3D), and a block of None sets a top-level key
+CONVERGE_1D = ((None, "dt_list", [0.4, 0.2, 0.1]), ("evolve", "steps", 784))
+VARIANTS = (("run", "1d", (("evolve", "spectral_mass_tol", 1e-10),)),
+            ("run", "1d", (("evolve", "record_every", 1), ("evolve", "spectral_mass_tol", 1e-10))),
+            ("run", "1d", (("packet", "v0", [0.03]),)),
+            ("run", "1d", (("packet", "x0", [5.0]),)),
+            ("run", "2d", (("packet", "mass", 300), ("evolve", "spectral_mass_tol", 1e-10))),
+            ("run", "2d", (("packet", "v0", [0.03, 0.0]), ("packet", "mass", 5))),
+            ("run", "3d", (("evolve", "steps", 400), ("packet", "v0", [0.03, 0.0, 0.0]),
+                           ("packet", "mass", 5))),
+            ("run", "3d", (("packet", "x0", [5.0, 0.0, 0.0]),)),
+            ("wep", "1d", ((None, "masses", [50, 200]),)),
+            ("converge", "1d", CONVERGE_1D + ((None, "order_band", [2.5, 3.0]),)),
+            ("converge", "1d", CONVERGE_1D + (("packet", "mass", 50), ("packet", "v0", [0.03]),
+                                              ("evolve", "boundary_mass_tol", 3e-9))))
 
 
 def scenarios() -> list[tuple[str, Path]]:
@@ -103,17 +116,17 @@ def main() -> int:
         bases = {"1d": (str(std.relative_to(ROOT)), std.read_text()),
                  "2d": (f"<generated>/{config.name}", json.dumps(RUN_2D)),
                  "3d": (str(FIELD_3D.relative_to(ROOT)), FIELD_3D.read_text())}
-        for base, settings in ABORTS:
+        for command, base, settings in VARIANTS:
             label, text = bases[base]
             doc = json.loads(text)
             for block, key, value in settings:
-                doc[block][key] = value
+                (doc if block is None else doc[block])[key] = value
             config = Path(tmp) / f"{base}-{'-'.join(key for _, key, _ in settings)}.json"
             config.write_text(json.dumps(doc))
-            code, digest, err = run("run", config, Path(tmp) / f"run-{config.stem}.out")
-            changed = " ".join(f"{block}.{key}={json.dumps(value)}"
+            code, digest, err = run(command, config, Path(tmp) / f"{command}-{config.stem}.out")
+            changed = " ".join(f"{key if block is None else f'{block}.{key}'}={json.dumps(value)}"
                                for block, key, value in settings)
-            print(f"run {label} {changed} exit={code} sha256={digest} stderr_sha256={err}")
+            print(f"{command} {label} {changed} exit={code} sha256={digest} stderr_sha256={err}")
     return 0
 
 

@@ -69,7 +69,6 @@ from .propagate import (
     StepScheme,
     acceleration_series,
     evolve,
-    kinetic_step,
     tidal_step,
 )
 from .spectral import SpectralGrid

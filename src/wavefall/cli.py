@@ -6,12 +6,13 @@
     wavefall converge --config study.json    --out report.json
 
 Exit codes: 0 success/pass, 1 ran-but-failed (a pass/fail command whose
-check came out negative), 2 validation error (an unreadable config or an
-``--out`` with no directory to go into included), 3 runtime abort (a monitor
-tripped: BoundaryContact for mass in the position margin band, or
-SpectralEdgeContact for mass at the Nyquist edge when
+report's ``passed`` came out False), 2 validation error (an unreadable
+config or an ``--out`` with no directory to go into included), 3 runtime
+abort (a monitor tripped: BoundaryContact for mass in the position margin
+band, or SpectralEdgeContact for mass at the Nyquist edge when
 ``evolve.spectral_mass_tol`` is set; ``run`` flushes the partial CSV with a
-trailing ``# aborted: <error class>: ...`` line).
+trailing ``# aborted: <error class>: ...`` line).  ``main`` writes every
+report the same way; each report carries its own pass rule (``experiments``).
 Every output embeds the fully resolved config for reproducibility.
 """
 
@@ -25,17 +26,10 @@ from pathlib import Path
 import numpy as np
 
 from .classical import exact_flow
-from .config import DEFAULT_ORDER_BANDS, ScenarioConfig, load_scenario
+from .config import ScenarioConfig, load_scenario
 from .errors import BoundaryContact, ConfigError, SimulationError
-from .experiments import (
-    convergence_study,
-    ripple_check,
-    wep_mass_sweep,
-    wep_shape_sweep,
-)
+from .experiments import convergence_study, ripple_check, wep_mass_sweep, wep_shape_sweep
 from .propagate import MomentSeries, evolve
-
-RIPPLE_PASS_TOL = 1e-8
 
 
 def _write_series_csv(path: str, scenario: ScenarioConfig, series: MomentSeries,
@@ -74,52 +68,27 @@ def _classical_reference(scenario: ScenarioConfig, series: MomentSeries) -> np.n
 
 def cmd_run(scenario: ScenarioConfig, out: str) -> int:
     try:
-        wf = scenario.build_packet()
-    except SimulationError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    try:
-        series = evolve(wf, scenario.tidal, scenario.scheme, scenario.evolve_cfg)
+        series = evolve(scenario.build_packet(), scenario.tidal, scenario.scheme,
+                        scenario.evolve_cfg)
     except BoundaryContact as exc:
-        partial = exc.partial
-        classical_x = _classical_reference(scenario, partial)
-        aborted = f"{type(exc).__name__}: {exc}"
-        _write_series_csv(out, scenario, partial, classical_x, aborted=aborted)
-        print(aborted, file=sys.stderr)
-        return 3
+        _write_series_csv(out, scenario, exc.partial,
+                          _classical_reference(scenario, exc.partial),
+                          aborted=f"{type(exc).__name__}: {exc}")
+        raise
     _write_series_csv(out, scenario, series, _classical_reference(scenario, series))
     return 0
 
 
-def cmd_wep(scenario: ScenarioConfig, out: str) -> int:
-    has_masses = scenario.masses is not None
-    has_shapes = scenario.shapes is not None
-    if has_masses == has_shapes:
-        print("ConfigError: wep needs exactly one of 'masses' or 'shapes'", file=sys.stderr)
-        return 2
-    report = wep_mass_sweep(scenario) if has_masses else wep_shape_sweep(scenario)
-    _write_report_json(out, scenario, report.to_dict())
-    return 0 if report.passed else 1
-
-
-def cmd_ripple(scenario: ScenarioConfig, out: str) -> int:
-    wf = scenario.build_packet()
-    report = ripple_check(wf, scenario.tidal, scenario.evolve_cfg.dt)
-    doc = report.to_dict()
-    doc["pass"] = report.relative_error < RIPPLE_PASS_TOL
-    doc["tolerance"] = RIPPLE_PASS_TOL
-    _write_report_json(out, scenario, doc)
-    return 0 if doc["pass"] else 1
-
-
-def cmd_converge(scenario: ScenarioConfig, out: str) -> int:
-    report = convergence_study(scenario)
-    band = scenario.order_band or DEFAULT_ORDER_BANDS[scenario.scheme]
-    doc = report.to_dict()
-    doc["order_band"] = list(band)
-    doc["pass"] = band[0] <= report.order <= band[1]
-    _write_report_json(out, scenario, doc)
-    return 0 if doc["pass"] else 1
+def _report(command: str, scenario: ScenarioConfig):
+    """The report of a pass/fail command; the experiments are looked up in
+    this module at each call, so a wrapper set on the module is used."""
+    if command == "ripple":
+        return ripple_check(scenario.build_packet(), scenario.tidal, scenario.evolve_cfg.dt)
+    if command == "converge":
+        return convergence_study(scenario)
+    if (scenario.masses is None) == (scenario.shapes is None):
+        raise ConfigError("wep needs exactly one of 'masses' or 'shapes'")
+    return (wep_shape_sweep if scenario.masses is None else wep_mass_sweep)(scenario)
 
 
 def _check_out(path: str) -> None:
@@ -129,9 +98,6 @@ def _check_out(path: str) -> None:
         raise ConfigError(f"output directory {str(out.parent)!r} does not exist")
     if out.is_dir():
         raise ConfigError(f"output path {path!r} is a directory")
-
-
-_COMMANDS = {"run": cmd_run, "wep": cmd_wep, "ripple": cmd_ripple, "converge": cmd_converge}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -156,22 +122,17 @@ _PARSER = _build_parser()
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
-
     try:
         scenario = load_scenario(args.config)
         _check_out(args.out)
+        if args.command == "run":
+            return cmd_run(scenario, args.out)
+        report = _report(args.command, scenario)
     except SimulationError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        return _COMMANDS[args.command](scenario, args.out)
-    except BoundaryContact as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    except SimulationError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, BoundaryContact) else 2
+    _write_report_json(args.out, scenario, report.to_dict())
+    return 0 if report.passed else 1
 
 
 def entry() -> None:

@@ -21,7 +21,7 @@ from .classical import ClassicalState
 from .curvature import TidalMatrix
 from .errors import ConfigError
 from .packets import PacketShape, check_packet_preconditions, make_packet
-from .propagate import EvolveConfig, StepScheme, check_kinetic_phase, check_tidal_phase
+from .propagate import EvolveConfig, StepScheme, check_kinetic_phase, check_tidal_factor
 from .spectral import SpectralGrid
 
 _TOP_KEYS = {"grid", "packet", "curvature", "evolve", "masses", "shapes", "dt_list", "order_band"}
@@ -29,8 +29,6 @@ _GRID_KEYS = {"dim", "n", "extent"}
 _PACKET_KEYS = {"shape", "params", "x0", "v0", "mass", "table"}
 _SHAPE_KEYS = {"shape", "params", "table"}
 _CURV_KEYS = {"tidal", "vacuum"}
-
-DEFAULT_ORDER_BANDS = {StepScheme.STRANG: (1.8, 2.2), StepScheme.LIE: (0.8, 1.2)}
 
 
 def _block(doc: dict, name: str, allowed: set, required: tuple) -> dict:
@@ -222,7 +220,7 @@ class ScenarioConfig:
         for dt in dts:
             for mass in (self.mass,) + tuple(self.masses or ()):
                 check_kinetic_phase(self.grid, mass, dt)
-                check_tidal_phase(self.grid, self.tidal, mass, dt)
+                check_tidal_factor(self.grid, self.tidal, mass, dt)
 
     # --- builders ---------------------------------------------------------
 

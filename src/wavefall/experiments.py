@@ -1,10 +1,12 @@
 """Scripted experiments: universality sweeps, single-step phase checks,
 and the convergence-order study.
 
-Sweep members are independent runs.  They run one after another, in the
-order given, on the calling thread, so the first member that fails stops
-the sweep and the members after it never run.  Reports are plain
-dataclasses with ``to_dict`` for JSON serialization.
+Sweep and convergence members are independent runs of one runner,
+``_evolve_members``.  They run one after another, in the order given, on
+the calling thread, so the first member that fails stops the experiment,
+its error labelled (``mass=200:``, ``dt=0.4:``), and the members after it
+never run.  Reports are plain dataclasses with ``to_dict`` for JSON
+serialization and a ``passed`` verdict.
 """
 
 from __future__ import annotations
@@ -26,13 +28,7 @@ from .errors import (
     TooFewPoints,
     TooFewVariants,
 )
-from .packets import (
-    TWO_PI,
-    PacketShape,
-    WaveFunction,
-    mean_position,
-    mean_velocity_spectral,
-)
+from .packets import TWO_PI, WaveFunction, mean_position, mean_velocity_spectral
 from .propagate import (
     MomentSeries,
     StepScheme,
@@ -43,7 +39,9 @@ from .propagate import (
 )
 
 RIPPLE_EDGE_PHASE_LIMIT = np.pi / 4.0
+RIPPLE_PASS_TOL = 1e-8
 DEFAULT_WEP_RTOL = 1e-8
+DEFAULT_ORDER_BANDS = {StepScheme.STRANG: (1.8, 2.2), StepScheme.LIE: (0.8, 1.2)}
 
 
 def _annotate(exc: SimulationError, label: str) -> SimulationError:
@@ -51,6 +49,18 @@ def _annotate(exc: SimulationError, label: str) -> SimulationError:
     if isinstance(exc, BoundaryContact):
         return type(exc)(exc.step_index, f"{label}: {exc}", partial=exc.partial)
     return type(exc)(f"{label}: {exc}")
+
+
+def _evolve_members(scenario: ScenarioConfig, members):
+    """Build and evolve each member ``(label, packet keywords, evolve
+    config, scheme)`` in order and yield its series, keeping none.  The
+    first member that fails raises its error labelled with its label; the
+    members after it are not built."""
+    for label, packet, cfg, scheme in members:
+        try:
+            yield evolve(scenario.build_packet(**packet), scenario.tidal, scheme, cfg)
+        except SimulationError as exc:
+            raise _annotate(exc, label) from exc
 
 
 # --- reports ----------------------------------------------------------------
@@ -62,12 +72,19 @@ class RippleReport:
     predicted: np.ndarray
     measured: np.ndarray
     relative_error: float
+    tolerance: float = RIPPLE_PASS_TOL
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.relative_error < self.tolerance)
 
     def to_dict(self) -> dict:
         return {
             "predicted_dk": [float(v) for v in self.predicted],
             "measured_dk": [float(v) for v in self.measured],
             "relative_error": float(self.relative_error),
+            "tolerance": float(self.tolerance),
+            "pass": self.passed,
         }
 
 
@@ -103,6 +120,11 @@ class ConvergenceReport:
     dts: tuple[float, ...]
     errors: tuple[float, ...]
     order: float
+    band: tuple[float, float]
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.band[0] <= self.order <= self.band[1])
 
     def to_dict(self) -> dict:
         return {
@@ -110,6 +132,8 @@ class ConvergenceReport:
             "dt": [float(v) for v in self.dts],
             "errors": [float(v) for v in self.errors],
             "fitted_order": float(self.order),
+            "order_band": list(self.band),
+            "pass": self.passed,
         }
 
 
@@ -205,16 +229,10 @@ def wep_mass_sweep(scenario: ScenarioConfig, masses=None,
     masses = tuple(masses if masses is not None else (scenario.masses or ()))
     if len(masses) < 2:
         raise TooFewVariants("mass sweep needs at least two masses")
-
-    def member(mass: float) -> MomentSeries:
-        try:
-            wf = scenario.build_packet(mass=mass)
-            return evolve(wf, scenario.tidal, scenario.scheme, scenario.evolve_cfg)
-        except SimulationError as exc:
-            raise _annotate(exc, f"mass={mass:g}") from exc
-
-    runs = [member(mass) for mass in masses]
     labels = [f"mass={m:g}" for m in masses]
+    runs = list(_evolve_members(scenario, (
+        (label, {"mass": m}, scenario.evolve_cfg, scenario.scheme)
+        for label, m in zip(labels, masses))))
     return _pairwise_report("mass", labels, runs, threshold)
 
 
@@ -228,20 +246,11 @@ def wep_shape_sweep(scenario: ScenarioConfig, shapes=None,
     shapes = tuple(shapes if shapes is not None else (scenario.shapes or ()))
     if len(shapes) < 2:
         raise TooFewVariants("shape sweep needs at least two shapes")
-
-    def member(item: tuple[int, PacketShape]) -> MomentSeries:
-        i, shape = item
-        label = f"shape[{i}]={shape.kind}"
-        try:
-            # make_packet holds the first moments to x0, v0 within MOMENT_TOL
-            wf = scenario.build_packet(shape=shape)
-            return evolve(wf, scenario.tidal, scenario.scheme, scenario.evolve_cfg)
-        except SimulationError as exc:
-            raise _annotate(exc, label) from exc
-
-    runs = [member(item) for item in enumerate(shapes)]
-    labels = [s.kind for s in shapes]
-    return _pairwise_report("shape", labels, runs, threshold)
+    # make_packet holds the first moments to x0, v0 within MOMENT_TOL
+    runs = list(_evolve_members(scenario, (
+        (f"shape[{i}]={shape.kind}", {"shape": shape}, scenario.evolve_cfg, scenario.scheme)
+        for i, shape in enumerate(shapes))))
+    return _pairwise_report("shape", [s.kind for s in shapes], runs, threshold)
 
 
 def eotvos_ratio(run_a: MomentSeries, run_b: MomentSeries) -> float:
@@ -270,7 +279,8 @@ def convergence_study(scenario: ScenarioConfig, dt_list=None,
     Each run covers the scenario duration with its own dt and otherwise the
     scenario's evolve settings, monitors included; its error is the
     max-deviation from the closed-form classical flow at its own record
-    stamps.  Runs go in the order of ``dt_list``.
+    stamps.  Runs go in the order of ``dt_list``, one series held at a time;
+    the pass band is ``order_band``, else the scheme's default band.
     """
     dts = tuple(float(d) for d in (dt_list if dt_list is not None else (scenario.dt_list or ())))
     if len(dts) < 3:
@@ -281,17 +291,18 @@ def convergence_study(scenario: ScenarioConfig, dt_list=None,
     scheme = StepScheme(scheme if scheme is not None else scenario.scheme)
     duration = scenario.duration()
 
-    def member(dt: float) -> float:
+    def member(dt: float) -> tuple:
         n = round(duration / dt)
         if abs(n * dt - duration) > 1e-9:
             raise ConfigError(f"duration {duration} is not a multiple of dt={dt}")
-        run_cfg = replace(scenario.evolve_cfg, dt=dt, n_steps=n, record_every=1)
-        wf = scenario.build_packet()
-        series = evolve(wf, scenario.tidal, scheme, run_cfg)
+        return (f"dt={dt:g}", {}, replace(scenario.evolve_cfg, dt=dt, n_steps=n, record_every=1),
+                scheme)
+
+    def error(series: MomentSeries) -> float:
         return match_metric(series, exact_flow(scenario.x0, scenario.v0, scenario.tidal,
                                                series.t))
 
-    errors = [member(dt) for dt in dts]
+    errors = tuple(map(error, _evolve_members(scenario, map(member, dts))))
     slope = float(np.polyfit(np.log(dts), np.log(errors), 1)[0])
-    return ConvergenceReport(scheme=scheme.value, dts=dts,
-                             errors=tuple(errors), order=slope)
+    return ConvergenceReport(scheme=scheme.value, dts=dts, errors=errors, order=slope,
+                             band=scenario.order_band or DEFAULT_ORDER_BANDS[scheme])

@@ -115,26 +115,17 @@ def check_kinetic_phase(grid: SpectralGrid, mass: float, dt: float) -> None:
             f"kinetic phase per step {phase:.3f} >= pi; reduce dt or raise mass/resolution")
 
 
-def check_tidal_phase(grid: SpectralGrid, tidal: TidalMatrix, mass: float, dt: float) -> None:
+def check_tidal_factor(grid: SpectralGrid, tidal: TidalMatrix, mass: float,
+                       dt: float) -> float:
+    """Step-budget guards of the tidal factor: its dimension, its phase at
+    the domain edge and the weak-field validity.  Returns the validity
+    epsilon."""
+    if tidal.dim != grid.dim:
+        raise ValueError(f"tidal dimension {tidal.dim} does not match grid {grid.dim}")
     phase = dt * tidal.max_abs() * (grid.extent / 2.0) ** 2 * np.pi * mass
     if phase >= np.pi:
         raise StepTooLarge(
             f"tidal phase per step {phase:.3f} >= pi at the domain edge; reduce dt")
-
-
-def _check_step(grid: SpectralGrid, mass: float, dt: float,
-                tidal: TidalMatrix | None = None, kinetic: bool = True) -> float | None:
-    """Step-budget guards for the factors a caller applies: the kinetic
-    phase unless ``kinetic`` is False, and with ``tidal`` its dimension, its
-    phase at the domain edge and the weak-field validity.  Returns the
-    validity epsilon, or None without ``tidal``."""
-    if kinetic:
-        check_kinetic_phase(grid, mass, dt)
-    if tidal is None:
-        return None
-    if tidal.dim != grid.dim:
-        raise ValueError(f"tidal dimension {tidal.dim} does not match grid {grid.dim}")
-    check_tidal_phase(grid, tidal, mass, dt)
     report = validate_tidal(tidal, grid.extent)
     if not report.ok:
         raise OutsideValidity("; ".join(report.messages))
@@ -153,14 +144,6 @@ def quadratic_form_grid(grid: SpectralGrid, tidal: TidalMatrix) -> np.ndarray:
     return q
 
 
-def kinetic_step(wf: WaveFunction, dt: float) -> WaveFunction:
-    """Dispersion step: spectral phases exp(-i k^2 dt / (4 pi mu)); t += dt."""
-    _check_step(wf.grid, wf.mass, dt)
-    spectrum = wf.grid.forward(wf.psi)
-    spectrum *= np.exp(-1j * wf.grid.k_squared * (dt / (4.0 * np.pi * wf.mass)))
-    return replace(wf, psi=wf.grid.inverse(spectrum), t=wf.t + dt)
-
-
 def _tidal_phase_field(grid: SpectralGrid, tidal: TidalMatrix, mass: float,
                        dt: float, exact_rate: bool) -> np.ndarray:
     """Imprinted phase per step: -pi mu (x.R.x) dt, or the un-truncated
@@ -177,7 +160,7 @@ def _tidal_phase_field(grid: SpectralGrid, tidal: TidalMatrix, mass: float,
 def tidal_step(wf: WaveFunction, tidal: TidalMatrix, dt: float,
                exact_rate: bool = False) -> WaveFunction:
     """Clock-rate imprint exp(-i pi mu (x.R.x) dt); time is not advanced."""
-    _check_step(wf.grid, wf.mass, dt, tidal, kinetic=False)
+    check_tidal_factor(wf.grid, tidal, wf.mass, dt)
     phase = _tidal_phase_field(wf.grid, tidal, wf.mass, dt, exact_rate)
     return replace(wf, psi=wf.psi * np.exp(1j * phase))
 
@@ -254,8 +237,9 @@ def evolve(wf: WaveFunction, tidal: TidalMatrix, scheme: StepScheme,
     """Run the split-step scheme and record moments every ``record_every`` steps.
 
     The phase factors are precomputed once; each step applies the same
-    factors as composing ``tidal_step``/``kinetic_step``, equal to them up
-    to roundoff.  The kinetic factor goes between an index-referenced
+    factors as composing ``tidal_step`` with the kinetic factor applied
+    between ``grid.forward`` and ``grid.inverse``, equal to them up to
+    roundoff.  The kinetic factor goes between an index-referenced
     transform pair (numpy's transform ufuncs, bit for bit ``fftn``/
     ``ifftn``): the centre signs S that ``grid.forward``/``inverse`` apply
     cancel, since S^2 = 1 and the kinetic factor is diagonal, and a +-1
@@ -315,7 +299,8 @@ def evolve(wf: WaveFunction, tidal: TidalMatrix, scheme: StepScheme,
     """
     scheme = StepScheme(scheme)
     grid, mass, dt = wf.grid, wf.mass, cfg.dt
-    epsilon = _check_step(grid, mass, dt, tidal)
+    check_kinetic_phase(grid, mass, dt)
+    epsilon = check_tidal_factor(grid, tidal, mass, dt)
 
     # each factor is built into its padded buffer: no unpadded copy stays alive
     kin, kin_inner = _padded(grid)

@@ -1,6 +1,8 @@
 """Shared fixtures-adjacent helpers: standard scenario pieces and the
-independent oracles (brute-force DFT, numpy-fft spectral centroid) used to
-cross-check the package's own routines."""
+independent oracles (brute-force DFT, numpy-fft spectral centroid, a
+stand-alone kinetic step) used to cross-check the package's own routines."""
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -13,6 +15,7 @@ from wavefall import (
     TidalMatrix,
     make_packet,
 )
+from wavefall.propagate import check_kinetic_phase
 
 # the house scenario: 1D, L=20, sigma=1, mu=100, R=1e-4, x0=2, v0=0, dt=0.1
 STD_L = 20.0
@@ -54,6 +57,16 @@ def std_scenario(n=256, n_steps=QUARTER_PERIOD_STEPS, dt=STD_DT, record_every=1,
         scheme=StepScheme(scheme),
         masses=masses, shapes=shapes, dt_list=dt_list,
     )
+
+
+def kinetic_step(wf, dt):
+    """Dispersion step: spectral phases exp(-i k^2 dt / (4 pi mu)); t += dt.
+    The kinetic factor's oracle, and with ``tidal_step`` the reference that
+    a composed step of ``evolve`` is checked against."""
+    check_kinetic_phase(wf.grid, wf.mass, dt)
+    spectrum = wf.grid.forward(wf.psi)
+    spectrum *= np.exp(-1j * wf.grid.k_squared * (dt / (4.0 * np.pi * wf.mass)))
+    return replace(wf, psi=wf.grid.inverse(spectrum), t=wf.t + dt)
 
 
 def brute_dft(field, grid):

@@ -99,11 +99,17 @@ class TestConfigLoading:
                     evolve={"dt": 0.1, "steps": 10, "spectral_mass_tol": bad}))
 
     def test_module_preconditions_rechecked(self):
-        doc = base_doc()
-        doc["packet"]["params"] = [5.0]  # wider than L/8
-        from wavefall import PacketTooWide
-        with pytest.raises(PacketTooWide):
-            ScenarioConfig.from_dict(doc)
+        from wavefall import OutsideValidity, PacketTooWide
+        wide = base_doc()
+        wide["packet"]["params"] = [5.0]  # wider than L/8
+        # epsilon = R L^2 = 0.4 exceeds the weak-field threshold 0.1; mu=5
+        # keeps the tidal phase per step (0.16) inside its budget
+        strong = base_doc(curvature={"tidal": [1e-3]})
+        strong["packet"]["mass"] = 5.0
+        for doc, error, text in ((wide, PacketTooWide, None),
+                                 (strong, OutsideValidity, "^epsilon=4.000e-01 exceeds")):
+            with pytest.raises(error, match=text):
+                ScenarioConfig.from_dict(doc)
 
 
 class TestRunCommand:
@@ -237,6 +243,18 @@ class TestWepCommand:
         assert "SpectralEdgeContact: mass=200: " in capsys.readouterr().err
         assert not out.exists()
 
+    def test_wrapped_member_fails_exit_1(self, tmp_path):
+        # unarmed, mu=200 wraps round the N=256 Nyquist edge and its mean
+        # strays from mu=50's by 0.32 against a threshold of 2e-8
+        doc = base_doc(masses=[50.0, 200.0],
+                       evolve={"dt": 0.1, "steps": 1570, "record_every": 10})
+        out = tmp_path / "wep.json"
+        assert main(["wep", "--config", write(tmp_path, doc), "--out", str(out)]) == 1
+        report = json.loads(out.read_text())["report"]
+        assert report["pass"] is False
+        assert report["deviations"][0][1] == pytest.approx(0.3208, abs=1e-4)
+        assert report["threshold"] == pytest.approx(2e-8)
+
     def test_single_mass_rejected(self, tmp_path, capsys):
         doc = base_doc(masses=[100.0])
         out = tmp_path / "wep.json"
@@ -246,12 +264,16 @@ class TestWepCommand:
 
     def test_requires_exactly_one_block(self, tmp_path, capsys):
         out = tmp_path / "wep.json"
+        line = "ConfigError: wep needs exactly one of 'masses' or 'shapes'\n"
         assert main(["wep", "--config", write(tmp_path, base_doc()),
                      "--out", str(out)]) == 2
+        assert capsys.readouterr().err == line
         doc = base_doc(masses=[100.0, 200.0],
                        shapes=[{"shape": "gaussian", "params": [1.0]},
                                {"shape": "gaussian", "params": [1.0]}])
         assert main(["wep", "--config", write(tmp_path, doc), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == line
+        assert not out.exists()
 
     def test_shape_sweep_via_cli(self, tmp_path):
         doc = base_doc(shapes=[{"shape": "gaussian", "params": [1.0]},
@@ -309,6 +331,31 @@ class TestConvergeCommand:
         report = json.loads(out.read_text())["report"]
         assert report["order_band"] == [0.8, 1.2]
         assert 0.8 <= report["fitted_order"] <= 1.2
+
+    def test_order_outside_band_exit_1(self, tmp_path):
+        # Strang fits order 2.000004, below the configured band
+        doc = base_doc(dt_list=[0.4, 0.2, 0.1], order_band=[2.5, 3.0],
+                       evolve={"dt": 0.1, "steps": 784, "scheme": "strang"})
+        out = tmp_path / "conv.json"
+        assert main(["converge", "--config", write(tmp_path, doc),
+                     "--out", str(out)]) == 1
+        report = json.loads(out.read_text())["report"]
+        assert report["pass"] is False
+        assert report["order_band"] == [2.5, 3.0]
+        assert report["fitted_order"] == pytest.approx(2.000004, abs=1e-6)
+
+    def test_member_abort_is_labelled(self, tmp_path, capsys):
+        # a light, drifting packet reaches the margin band in the dt=0.4 run
+        doc = base_doc(dt_list=[0.4, 0.2, 0.1],
+                       evolve={"dt": 0.1, "steps": 784, "record_every": 10,
+                               "boundary_mass_tol": 3e-9})
+        doc["packet"].update(mass=50.0, v0=[0.03])
+        out = tmp_path / "conv.json"
+        assert main(["converge", "--config", write(tmp_path, doc),
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "BoundaryContact: dt=0.4: margin mass 3.062e-09 exceeds 3.0e-09 at step 18\n")
+        assert not out.exists()
 
     def test_json_reports_deterministic(self, tmp_path):
         doc = base_doc(dt_list=[0.4, 0.2, 0.1],

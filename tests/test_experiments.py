@@ -7,6 +7,7 @@ import pytest
 from helpers import STD_DT, STD_MASS, std_grid, std_packet, std_scenario, std_tidal
 from wavefall import (
     ConfigError,
+    ConvergenceReport,
     InitialMomentMismatch,
     NotAdjacent,
     PacketShape,
@@ -64,6 +65,15 @@ class TestRippleCheck:
         wf = std_packet(std_grid(), x0=2.0)
         with pytest.raises(PhaseWrapRisk):
             ripple_check(wf, std_tidal(), 0.3)
+
+    def test_pass_is_strictly_below_tolerance(self):
+        rep = ripple_check(std_packet(std_grid(), x0=2.0), std_tidal(), STD_DT)
+        assert rep.tolerance == experiments.RIPPLE_PASS_TOL == 1e-8
+        assert rep.passed and rep.to_dict()["pass"] is True
+        at = replace(rep, relative_error=rep.tolerance)
+        assert not at.passed
+        assert at.to_dict()["pass"] is False
+        assert at.to_dict()["tolerance"] == 1e-8
 
 
 class TestPhaseDifference:
@@ -291,3 +301,12 @@ class TestConvergence:
         doc = report.to_dict()
         assert doc["scheme"] == "strang"
         assert len(doc["dt"]) == len(doc["errors"]) == 3
+        assert doc["order_band"] == [1.8, 2.2] and doc["pass"] is True
+
+    def test_band_is_inclusive(self):
+        report = ConvergenceReport(scheme="lie", dts=(0.4, 0.2, 0.1), errors=(4.0, 2.0, 1.0),
+                                   order=0.8, band=experiments.DEFAULT_ORDER_BANDS[StepScheme.LIE])
+        assert report.passed
+        assert replace(report, order=1.2).passed
+        assert not replace(report, order=np.nextafter(1.2, 2.0)).passed
+        assert not replace(report, order=np.nextafter(0.8, 0.0)).passed

@@ -8,6 +8,7 @@ from helpers import (
     LEAN_N,
     STD_DT,
     STD_MASS,
+    kinetic_step,
     npfft_centroid,
     std_grid,
     std_packet,
@@ -27,7 +28,6 @@ from wavefall import (
     WaveFunction,
     acceleration_series,
     evolve,
-    kinetic_step,
     make_packet,
     mean_position,
     mean_velocity_spectral,
