@@ -33,7 +33,15 @@ false: ``wep`` on masses 50 and 200, where the unarmed mu=200 member wraps
 round the Nyquist edge, and ``converge`` with an ``order_band`` of
 [2.5, 3.0] that the Strang order 2.000004 misses.  One ``converge`` run
 aborts with exit 3: a light, drifting packet trips ``BoundaryContact`` at
-step 18 of its dt=0.4 member.  Every variant's line names the changed
+step 18 of its dt=0.4 member.
+
+Two variants are configs that fail at load (exit 2, no output): ``run`` on
+``configs/standard_1d.json`` with a NaN in ``packet.v0`` and ``converge``
+on ``configs/converge_strang_1d.json`` with a zero in ``dt_list``.  A NaN
+is written as JSON's non-standard ``NaN``, as Python's ``json`` module
+writes and reads it.
+
+Every variant's line names the changed
 keys (``<block>.<key>``, or ``<key>`` at the top level) and adds the
 digest of stderr, which carries any abort message:
 
@@ -66,8 +74,9 @@ RUN_2D = {
 }
 FIELD_3D = ROOT / "perfbench" / "templates" / "field_3d.json"
 # (command, base config, (block, key, value) settings made in it): one
-# failing run per entry; the base is "1d" (configs/standard_1d.json), "2d"
-# (RUN_2D) or "3d" (FIELD_3D), and a block of None sets a top-level key
+# failing run per entry; the base is "1d" (configs/standard_1d.json),
+# "strang" (configs/converge_strang_1d.json), "2d" (RUN_2D) or "3d"
+# (FIELD_3D), and a block of None sets a top-level key
 CONVERGE_1D = ((None, "dt_list", [0.4, 0.2, 0.1]), ("evolve", "steps", 784))
 VARIANTS = (("run", "1d", (("evolve", "spectral_mass_tol", 1e-10),)),
             ("run", "1d", (("evolve", "record_every", 1), ("evolve", "spectral_mass_tol", 1e-10))),
@@ -81,7 +90,9 @@ VARIANTS = (("run", "1d", (("evolve", "spectral_mass_tol", 1e-10),)),
             ("wep", "1d", ((None, "masses", [50, 200]),)),
             ("converge", "1d", CONVERGE_1D + ((None, "order_band", [2.5, 3.0]),)),
             ("converge", "1d", CONVERGE_1D + (("packet", "mass", 50), ("packet", "v0", [0.03]),
-                                              ("evolve", "boundary_mass_tol", 3e-9))))
+                                              ("evolve", "boundary_mass_tol", 3e-9))),
+            ("run", "1d", (("packet", "v0", [float("nan")]),)),
+            ("converge", "strang", ((None, "dt_list", [0.0, 0.2, 0.1]),)))
 
 
 def scenarios() -> list[tuple[str, Path]]:
@@ -113,15 +124,18 @@ def main() -> int:
         code, digest, _ = run("run", config, Path(tmp) / "run-run_2d.out")
         print(f"run <generated>/{config.name} exit={code} sha256={digest}")
         std = ROOT / "configs" / "standard_1d.json"
+        strang = ROOT / "configs" / "converge_strang_1d.json"
         bases = {"1d": (str(std.relative_to(ROOT)), std.read_text()),
+                 "strang": (str(strang.relative_to(ROOT)), strang.read_text()),
                  "2d": (f"<generated>/{config.name}", json.dumps(RUN_2D)),
                  "3d": (str(FIELD_3D.relative_to(ROOT)), FIELD_3D.read_text())}
-        for command, base, settings in VARIANTS:
+        for i, (command, base, settings) in enumerate(VARIANTS):
             label, text = bases[base]
             doc = json.loads(text)
             for block, key, value in settings:
                 (doc if block is None else doc[block])[key] = value
-            config = Path(tmp) / f"{base}-{'-'.join(key for _, key, _ in settings)}.json"
+            # numbered, since two variants may change the same keys of one base
+            config = Path(tmp) / f"variant{i}-{base}.json"
             config.write_text(json.dumps(doc))
             code, digest, err = run(command, config, Path(tmp) / f"{command}-{config.stem}.out")
             changed = " ".join(f"{key if block is None else f'{block}.{key}'}={json.dumps(value)}"

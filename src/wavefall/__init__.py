@@ -16,7 +16,6 @@ from .curvature import (
     TidalMatrix,
     ValidityReport,
     first_order_rate,
-    metric_at,
     proper_time_rate,
     validate_tidal,
 )
@@ -26,7 +25,6 @@ from .errors import (
     BoundaryContact,
     ConfigError,
     InitialMomentMismatch,
-    NotAdjacent,
     OutsideValidity,
     PacketTooWide,
     PhaseWrapRisk,
@@ -48,7 +46,6 @@ from .experiments import (
     WepReport,
     convergence_study,
     eotvos_ratio,
-    phase_difference_check,
     ripple_check,
     wep_mass_sweep,
     wep_shape_sweep,

@@ -118,15 +118,20 @@ def exact_flow(x0, v0, tidal: TidalMatrix, t) -> TrajectorySeries:
     return TrajectorySeries(t=t, x=x, v=v)
 
 
+def _check_stamps(series_a, series_b) -> None:
+    """Raise TimestampMismatch unless both ``times`` agree within 1e-9."""
+    ta, tb = np.asarray(series_a.times), np.asarray(series_b.times)
+    if ta.shape != tb.shape or np.max(np.abs(ta - tb), initial=0.0) > 1e-9:
+        raise TimestampMismatch("series do not share time stamps")
+
+
 def match_metric(series_a, series_b) -> float:
     """max over time of the Euclidean deviation between two position series.
 
     Both arguments just need ``times`` and ``positions``; quantum moment
     series and classical trajectories both qualify.
     """
-    ta, tb = np.asarray(series_a.times), np.asarray(series_b.times)
-    if ta.shape != tb.shape or np.max(np.abs(ta - tb), initial=0.0) > 1e-9:
-        raise TimestampMismatch("series do not share time stamps")
+    _check_stamps(series_a, series_b)
     xa = np.asarray(series_a.positions, dtype=float)
     xb = np.asarray(series_b.positions, dtype=float)
     if xa.shape != xb.shape:

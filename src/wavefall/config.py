@@ -3,15 +3,16 @@
 A scenario bundles a grid, a tidal matrix, a packet definition and the run
 settings; sweep-style experiments add ``masses``, ``shapes`` or ``dt_list``
 blocks.  Loading re-validates every module precondition so a bad document
-fails before any array is allocated, and unknown keys are rejected
-everywhere.  ``resolved()`` returns the full document with defaults
-materialized (the opt-in ``evolve.spectral_mass_tol`` appears only when
-set); every CSV/JSON the CLI writes embeds it.
+fails before any array is allocated; every number must be finite, and
+unknown keys are rejected everywhere.  ``resolved()`` returns the full
+document with defaults materialized (the opt-in ``evolve.spectral_mass_tol``
+appears only when set); every CSV/JSON the CLI writes embeds it.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -49,6 +50,9 @@ def _block(doc: dict, name: str, allowed: set, required: tuple) -> dict:
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number, got {value!r}")
+    # false for NaN, the infinities and an integer too large for a float
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{where} must be finite, got {value!r}")
     return float(value)
 
 
@@ -180,6 +184,8 @@ class ScenarioConfig:
             if not isinstance(doc["dt_list"], (list, tuple)):
                 raise ConfigError("dt_list must be a list of numbers")
             dt_list = tuple(_number(v, "dt_list") for v in doc["dt_list"])
+            if any(d <= 0 for d in dt_list):
+                raise ConfigError(f"dt_list entries must be positive, got {list(dt_list)}")
         order_band = None
         if "order_band" in doc:
             band = doc["order_band"]

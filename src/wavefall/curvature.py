@@ -1,20 +1,10 @@
-"""Curvature data and the weak-field metric of a local free-falling frame.
+"""Curvature data of a local free-falling frame and its clock rates.
 
 Everything is expressed in geometric units (c = G = 1): times and lengths
 share one unit and curvature components carry 1/length^2.  The electric
 components R_{0i0j} form a symmetric d x d matrix which is the sole dynamical
-input of the propagator; the full four-index tensor is kept only so the
-quadratic metric expansion around the frame origin can be evaluated as a
-diagnostic.
-
-The frame metric expansion implemented by :func:`metric_at` is
-
-    g_00  = -(1 + R_{0i0j} x^i x^j)
-    g_0i  = -(2/3) R_{0jik} x^j x^k
-    g_ij  = delta_ij - (1/3) R_{ikjl} x^k x^l
-
-with the cross components chosen so the line-element term 2 g_0i dt dx^i has
-the conventional -(4/3) coefficient.
+input of the propagator; the full four-index tensor is kept as its validated
+source (``TidalMatrix.from_riemann``).
 """
 
 from __future__ import annotations
@@ -34,13 +24,6 @@ SYMMETRY_TOL = 1e-14
 VACUUM_TRACE_TOL = 1e-12
 RIEMANN_TOL = 1e-12
 DEFAULT_VALIDITY_THRESHOLD = 0.1
-
-
-def _check_vacuum_trace(entries: np.ndarray) -> None:
-    scale = max(1.0, float(np.max(np.abs(entries))))
-    trace = float(np.trace(entries))
-    if abs(trace) > VACUUM_TRACE_TOL * scale:
-        raise TraceNotZero(f"vacuum tidal matrix has trace {trace:.3e}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,7 +49,9 @@ class TidalMatrix:
         sym.flags.writeable = False
         object.__setattr__(self, "entries", sym)
         if self.vacuum:
-            _check_vacuum_trace(sym)
+            trace = float(np.trace(sym))
+            if abs(trace) > VACUUM_TRACE_TOL * max(1.0, float(np.max(np.abs(sym)))):
+                raise TraceNotZero(f"vacuum tidal matrix has trace {trace:.3e}")
 
     @property
     def dim(self) -> int:
@@ -143,30 +128,24 @@ class ValidityReport:
     epsilon: float
     ok: bool
     messages: tuple[str, ...] = ()
-    threshold: float = DEFAULT_VALIDITY_THRESHOLD
 
 
-def validate_tidal(tidal, domain_extent: float, vacuum: bool | None = None,
-                   threshold: float = DEFAULT_VALIDITY_THRESHOLD) -> ValidityReport:
+def validate_tidal(tidal: TidalMatrix, domain_extent: float) -> ValidityReport:
     """Check the weak-field regime for a domain of the given linear extent.
 
     ``epsilon = max|R_ij| * domain_extent**2`` estimates the squared ratio of
-    domain size to curvature radius; the quadratic metric expansion needs it
-    small.  Raises AsymmetricInput / TraceNotZero for malformed input and
-    returns a report whose ``ok`` reflects ``epsilon < threshold``.
+    domain size to curvature radius; the report is ``ok`` when it is below
+    ``DEFAULT_VALIDITY_THRESHOLD``, as the first-order clock rate needs.
     """
     if domain_extent <= 0:
         raise ValueError("domain_extent must be positive")
-    if not isinstance(tidal, TidalMatrix):
-        tidal = TidalMatrix(np.asarray(tidal, dtype=float), vacuum=bool(vacuum))
-    elif vacuum or (vacuum is None and tidal.vacuum):
-        _check_vacuum_trace(tidal.entries)
     epsilon = tidal.max_abs() * float(domain_extent) ** 2
-    ok = epsilon < threshold
+    ok = epsilon < DEFAULT_VALIDITY_THRESHOLD
     messages: tuple[str, ...] = ()
     if not ok:
-        messages = (f"epsilon={epsilon:.3e} exceeds weak-field threshold {threshold:g}",)
-    return ValidityReport(epsilon=epsilon, ok=ok, messages=messages, threshold=threshold)
+        messages = (f"epsilon={epsilon:.3e} exceeds weak-field threshold "
+                    f"{DEFAULT_VALIDITY_THRESHOLD:g}",)
+    return ValidityReport(epsilon=epsilon, ok=ok, messages=messages)
 
 
 def proper_time_rate(x, tidal: TidalMatrix) -> float:
@@ -180,24 +159,3 @@ def proper_time_rate(x, tidal: TidalMatrix) -> float:
 def first_order_rate(x, tidal: TidalMatrix) -> float:
     """Truncated clock rate 1 + x.R.x / 2 (what the propagator imprints)."""
     return 1.0 + 0.5 * tidal.quadratic_form(x)
-
-
-def metric_at(x, riemann: RiemannComponents) -> np.ndarray:
-    """Quadratic metric expansion at spatial point ``x`` (up to 3 components).
-
-    Diagnostic only: the propagator uses just the g_00 content through the
-    clock-rate formulas above.
-    """
-    x3 = np.zeros(3)
-    xv = np.asarray(x, dtype=float).reshape(-1)
-    if xv.size > 3:
-        raise ValueError("position must have at most 3 components")
-    x3[:xv.size] = xv
-    r = riemann.entries
-    g = np.diag([-1.0, 1.0, 1.0, 1.0])
-    g[0, 0] = -(1.0 + np.einsum("ij,i,j->", r[0, 1:, 0, 1:], x3, x3))
-    g0i = -(2.0 / 3.0) * np.einsum("jik,j,k->i", r[0, 1:, 1:, 1:], x3, x3)
-    g[0, 1:] = g0i
-    g[1:, 0] = g0i
-    g[1:, 1:] += -(1.0 / 3.0) * np.einsum("ikjl,k,l->ij", r[1:, 1:, 1:, 1:], x3, x3)
-    return (g + g.T) / 2.0

@@ -91,10 +91,6 @@ class PhaseWrapRisk(SimulationError):
     """Imprinted phase too large at the domain edge for an unwrapped read."""
 
 
-class NotAdjacent(SimulationError):
-    """Points are not adjacent nodes of the grid."""
-
-
 class TooFewVariants(SimulationError):
     """A sweep needs at least two members."""
 

@@ -1,4 +1,4 @@
-"""Scripted experiments: universality sweeps, single-step phase checks,
+"""Scripted experiments: universality sweeps, the single-step ripple check
 and the convergence-order study.
 
 Sweep and convergence members are independent runs of one runner,
@@ -15,16 +15,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .classical import exact_flow, match_metric
+from .classical import _check_stamps, exact_flow, match_metric
 from .config import ScenarioConfig
 from .curvature import TidalMatrix
 from .errors import (
     BoundaryContact,
     ConfigError,
-    NotAdjacent,
     PhaseWrapRisk,
     SimulationError,
-    TimestampMismatch,
     TooFewPoints,
     TooFewVariants,
 )
@@ -32,9 +30,9 @@ from .packets import TWO_PI, WaveFunction, mean_position, mean_velocity_spectral
 from .propagate import (
     MomentSeries,
     StepScheme,
+    _tidal_phase_field,
     acceleration_series,
     evolve,
-    quadratic_form_grid,
     tidal_step,
 )
 
@@ -146,7 +144,7 @@ def ripple_check(wf: WaveFunction, tidal: TidalMatrix, dt: float) -> RippleRepor
     Refuses to run when the imprinted phase reaches pi/4 anywhere on the
     grid, since a wrapped phase would alias the centroid read-out.
     """
-    edge_phase = np.pi * wf.mass * dt * float(np.max(np.abs(quadratic_form_grid(wf.grid, tidal))))
+    edge_phase = float(np.max(np.abs(_tidal_phase_field(wf.grid, tidal, wf.mass, dt))))
     if edge_phase >= RIPPLE_EDGE_PHASE_LIMIT:
         raise PhaseWrapRisk(
             f"tidal phase {edge_phase:.3f} at the domain edge exceeds pi/4")
@@ -168,34 +166,6 @@ def ripple_check(wf: WaveFunction, tidal: TidalMatrix, dt: float) -> RippleRepor
     else:
         rel = float(np.linalg.norm(measured)) / floor
     return RippleReport(predicted=predicted, measured=measured, relative_error=rel)
-
-
-def phase_difference_check(wf: WaveFunction, tidal: TidalMatrix, dt: float,
-                           x_a, x_b) -> tuple[float, float]:
-    """(measured, predicted) phase difference of the tidal factor between two
-    adjacent grid nodes; the prediction uses the midpoint rule."""
-    grid = wf.grid
-    idx = []
-    for name, point in (("x_a", x_a), ("x_b", x_b)):
-        p = np.asarray(point, dtype=float).reshape(-1)
-        if p.size != grid.dim:
-            raise NotAdjacent(f"{name} must have {grid.dim} components")
-        node = (p + grid.extent / 2.0) / grid.dx
-        rounded = np.rint(node)
-        if np.max(np.abs(node - rounded)) > 1e-9 or np.any(rounded < 0) or np.any(rounded >= grid.n):
-            raise NotAdjacent(f"{name} is not a grid node")
-        idx.append(rounded.astype(int))
-    if int(np.abs(idx[1] - idx[0]).sum()) > 1:
-        raise NotAdjacent("points are not adjacent grid nodes")
-
-    xa = -grid.extent / 2.0 + idx[0] * grid.dx
-    xb = -grid.extent / 2.0 + idx[1] * grid.dx
-    factor_a = np.exp(-1j * np.pi * wf.mass * dt * tidal.quadratic_form(xa))
-    factor_b = np.exp(-1j * np.pi * wf.mass * dt * tidal.quadratic_form(xb))
-    measured = float(np.angle(factor_b * np.conj(factor_a)))
-    mid = (xa + xb) / 2.0
-    predicted = float(-TWO_PI * wf.mass * dt * (mid @ tidal.entries @ (xb - xa)))
-    return measured, predicted
 
 
 # --- universality sweeps -----------------------------------------------------
@@ -259,9 +229,7 @@ def eotvos_ratio(run_a: MomentSeries, run_b: MomentSeries) -> float:
     eta = 2 max_t |a_A - a_B| / max_t (|a_A| + |a_B|); zero by convention
     when both accelerations vanish (flat space).
     """
-    ta, tb = run_a.t, run_b.t
-    if ta.shape != tb.shape or np.max(np.abs(ta - tb), initial=0.0) > 1e-9:
-        raise TimestampMismatch("runs do not share time stamps")
+    _check_stamps(run_a, run_b)
     acc_a = acceleration_series(run_a)
     acc_b = acceleration_series(run_b)
     denom = float(np.max(np.linalg.norm(acc_a, axis=1) + np.linalg.norm(acc_b, axis=1)))
@@ -285,6 +253,8 @@ def convergence_study(scenario: ScenarioConfig, dt_list=None,
     dts = tuple(float(d) for d in (dt_list if dt_list is not None else (scenario.dt_list or ())))
     if len(dts) < 3:
         raise TooFewPoints("convergence study needs at least three step sizes")
+    if any(d <= 0 for d in dts):
+        raise ConfigError(f"dt_list entries must be positive, got {list(dts)}")
     for a, b in zip(dts, dts[1:]):
         if abs(b / a - 0.5) > 1e-9:
             raise ConfigError(f"each dt must halve the previous one, got {a} -> {b}")

@@ -1,8 +1,8 @@
 """Wave-packet states and their first/second-moment observables.
 
 A state stores only the slow field psi; the rest-mass factor exp(-2 pi i mu t)
-is carried analytically (``WaveFunction.rest_phase``) and never multiplied
-into the samples, so step sizes are not tied to the Compton period.  The
+is a global phase that no observable reads, so it is left out of the
+samples and step sizes are not tied to the Compton period.  The
 momentum convention is p = k / (2 pi) throughout: a packet boosted to
 velocity v carries the plane-wave factor exp(i 2 pi mu v . x) and the mean
 velocity is the spectral centroid <k> / (2 pi mu).
@@ -106,7 +106,7 @@ class PacketShape:
 
 @dataclass(frozen=True, eq=False)
 class WaveFunction:
-    """Slow field psi on a grid plus analytically tracked rest-mass phase."""
+    """Slow field psi on a grid, with its mass and frame time."""
 
     grid: SpectralGrid
     psi: np.ndarray
@@ -122,14 +122,6 @@ class WaveFunction:
         if not self.mass > 0:
             raise ConfigError(f"mass must be positive, got {self.mass}")
         object.__setattr__(self, "psi", psi)
-
-    def rest_phase(self) -> complex:
-        """The factored-out global factor exp(-2 pi i mu t)."""
-        return complex(np.exp(-1j * TWO_PI * self.mass * self.t))
-
-    def full_field(self) -> np.ndarray:
-        """Reconstruct the full (fast) field; diagnostics only."""
-        return self.rest_phase() * self.psi
 
 
 # --- envelope builders -----------------------------------------------------

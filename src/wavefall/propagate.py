@@ -132,8 +132,10 @@ def check_tidal_factor(grid: SpectralGrid, tidal: TidalMatrix, mass: float,
     return report.epsilon
 
 
-def quadratic_form_grid(grid: SpectralGrid, tidal: TidalMatrix) -> np.ndarray:
-    """x.R.x sampled on the grid."""
+def _tidal_phase_field(grid: SpectralGrid, tidal: TidalMatrix, mass: float,
+                       dt: float) -> np.ndarray:
+    """Imprinted phase per step, -pi mu (x.R.x) dt on the grid: the
+    first-order clock-rate phase, and the only code that builds it."""
     r = tidal.entries
     q = np.zeros(grid.shape)
     meshes = grid.position_meshes
@@ -141,27 +143,13 @@ def quadratic_form_grid(grid: SpectralGrid, tidal: TidalMatrix) -> np.ndarray:
         for j in range(grid.dim):
             if r[i, j] != 0.0:
                 q = q + r[i, j] * meshes[i] * meshes[j]
-    return q
-
-
-def _tidal_phase_field(grid: SpectralGrid, tidal: TidalMatrix, mass: float,
-                       dt: float, exact_rate: bool) -> np.ndarray:
-    """Imprinted phase per step: -pi mu (x.R.x) dt, or the un-truncated
-    clock-rate version -2 pi mu (sqrt(1 + x.R.x) - 1) dt for error-term
-    studies."""
-    q = quadratic_form_grid(grid, tidal)
-    if exact_rate:
-        if float(np.min(q)) <= -1.0:
-            raise OutsideValidity("1 + x.R.x is not positive everywhere on the grid")
-        return -2.0 * np.pi * mass * dt * (np.sqrt(1.0 + q) - 1.0)
     return -np.pi * mass * dt * q
 
 
-def tidal_step(wf: WaveFunction, tidal: TidalMatrix, dt: float,
-               exact_rate: bool = False) -> WaveFunction:
+def tidal_step(wf: WaveFunction, tidal: TidalMatrix, dt: float) -> WaveFunction:
     """Clock-rate imprint exp(-i pi mu (x.R.x) dt); time is not advanced."""
     check_tidal_factor(wf.grid, tidal, wf.mass, dt)
-    phase = _tidal_phase_field(wf.grid, tidal, wf.mass, dt, exact_rate)
+    phase = _tidal_phase_field(wf.grid, tidal, wf.mass, dt)
     return replace(wf, psi=wf.psi * np.exp(1j * phase))
 
 
@@ -233,7 +221,7 @@ def _kinetic_factor(grid: SpectralGrid, scale: float, out: np.ndarray) -> np.nda
 
 
 def evolve(wf: WaveFunction, tidal: TidalMatrix, scheme: StepScheme,
-           cfg: EvolveConfig, exact_rate: bool = False) -> MomentSeries:
+           cfg: EvolveConfig) -> MomentSeries:
     """Run the split-step scheme and record moments every ``record_every`` steps.
 
     The phase factors are precomputed once; each step applies the same
@@ -308,8 +296,8 @@ def evolve(wf: WaveFunction, tidal: TidalMatrix, scheme: StepScheme,
     # strang: half kick, drift, half kick; lie: drift, full kick
     strang = scheme is StepScheme.STRANG
     tid_last, tid_inner = _padded(grid)
-    np.multiply(1j, _tidal_phase_field(grid, tidal, mass, dt / 2.0 if strang else dt,
-                                       exact_rate), out=tid_inner)
+    np.multiply(1j, _tidal_phase_field(grid, tidal, mass, dt / 2.0 if strang else dt),
+                out=tid_inner)
     np.exp(tid_inner, out=tid_inner)
     tid_first = tid_last if strang else None
     dV = grid.cell_volume

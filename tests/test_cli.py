@@ -98,6 +98,24 @@ class TestConfigLoading:
                 ScenarioConfig.from_dict(base_doc(
                     evolve={"dt": 0.1, "steps": 10, "spectral_mass_tol": bad}))
 
+    @pytest.mark.parametrize("where, doc", [
+        ("curvature.tidal", base_doc(curvature={"tidal": [float("nan")]})),
+        ("packet.mass", base_doc(packet={**base_doc()["packet"], "mass": float("inf")})),
+        ("grid.extent", base_doc(grid={"dim": 1, "n": 256, "extent": float("-inf")})),
+        # an integer literal too large for a float
+        ("evolve.dt", base_doc(evolve={**base_doc()["evolve"], "dt": 10 ** 400})),
+    ])
+    def test_non_finite_number_rejected(self, where, doc):
+        with pytest.raises(ConfigError, match=f"^{where} must be finite, got "):
+            ScenarioConfig.from_dict(doc)
+
+    def test_negative_dt_list_entry_rejected(self):
+        # caught at load, not when the converge member with that dt is built
+        doc = base_doc(dt_list=[0.4, -0.2, 0.1],
+                       evolve={"dt": 0.1, "steps": 784, "scheme": "strang"})
+        with pytest.raises(ConfigError, match=r"^dt_list entries must be positive"):
+            ScenarioConfig.from_dict(doc)
+
     def test_module_preconditions_rechecked(self):
         from wavefall import OutsideValidity, PacketTooWide
         wide = base_doc()
@@ -402,11 +420,23 @@ class TestMalformedConfigs:
             "order_band_reversed": ("converge", base_doc(
                 dt_list=[0.4, 0.2, 0.1], order_band=[2.2, 1.8],
                 evolve={"dt": 0.1, "steps": 784, "scheme": "strang"})),
+            # json.dumps writes these as the non-standard NaN and Infinity
+            "v0_nan": ("run", base_doc(packet={**base_doc()["packet"], "v0": [float("nan")]})),
+            "order_band_nan": ("converge", base_doc(
+                dt_list=[0.4, 0.2, 0.1], order_band=[float("nan"), 2.2],
+                evolve={"dt": 0.1, "steps": 784, "scheme": "strang"})),
+            "boundary_mass_tol_inf": ("run", base_doc(
+                evolve={**base_doc()["evolve"], "boundary_mass_tol": float("inf")})),
+            "dt_list_zero": ("converge", base_doc(
+                dt_list=[0.0, 0.2, 0.1],
+                evolve={"dt": 0.1, "steps": 784, "scheme": "strang"})),
         }
 
     @pytest.mark.parametrize("case", ["tidal_string", "tidal_ragged", "tidal_boolean",
                                       "table_missing", "table_not_string",
-                                      "table_empty", "order_band_reversed"])
+                                      "table_empty", "order_band_reversed", "v0_nan",
+                                      "order_band_nan", "boundary_mass_tol_inf",
+                                      "dt_list_zero"])
     def test_exits_2_with_config_error(self, tmp_path, case):
         command, doc = self.bad_docs(tmp_path)[case]
         out = tmp_path / "out"

@@ -9,12 +9,11 @@ from wavefall import (
     ConfigError,
     ConvergenceReport,
     InitialMomentMismatch,
-    NotAdjacent,
     PacketShape,
     PhaseWrapRisk,
     SpectralEdgeContact,
     StepScheme,
-    TidalMatrix,
+    TimestampMismatch,
     TooFewPoints,
     TooFewVariants,
     convergence_study,
@@ -22,7 +21,7 @@ from wavefall import (
     evolve,
     load_scenario,
     make_packet,
-    phase_difference_check,
+    match_metric,
     ripple_check,
     wep_mass_sweep,
     wep_shape_sweep,
@@ -74,47 +73,6 @@ class TestRippleCheck:
         assert not at.passed
         assert at.to_dict()["pass"] is False
         assert at.to_dict()["tolerance"] == 1e-8
-
-
-class TestPhaseDifference:
-    def test_same_point(self):
-        grid = std_grid()
-        x = grid.axis_positions[100]
-        measured, predicted = phase_difference_check(
-            std_packet(grid), std_tidal(), STD_DT, [x], [x])
-        assert measured == 0.0 and predicted == 0.0
-
-    def test_flat_space(self):
-        grid = std_grid()
-        xa, xb = grid.axis_positions[100], grid.axis_positions[101]
-        measured, predicted = phase_difference_check(
-            std_packet(grid), TidalMatrix.zero(1), STD_DT, [xa], [xb])
-        assert measured == 0.0 and predicted == 0.0
-
-    def test_standard_adjacent_pair(self):
-        grid = std_grid()
-        wf = std_packet(grid, x0=2.0)
-        tidal = std_tidal()
-        ia = int(np.argmin(np.abs(grid.axis_positions - 2.0)))
-        xa, xb = grid.axis_positions[ia], grid.axis_positions[ia + 1]
-        measured, predicted = phase_difference_check(wf, tidal, STD_DT, [xa], [xb])
-        mid, dx = (xa + xb) / 2.0, xb - xa
-        assert predicted == pytest.approx(
-            -2 * np.pi * STD_MASS * 1e-4 * mid * dx * STD_DT, rel=1e-12)
-        # midpoint rule makes the node-difference read-out exact here,
-        # comfortably inside the quoted O(dx^2) budget
-        budget = 2 * np.pi * 1e-4 * STD_MASS * STD_DT * dx ** 2
-        assert abs(measured - predicted) < 1e-14
-        assert abs(measured - predicted) < budget
-
-    def test_not_adjacent(self):
-        grid = std_grid()
-        wf = std_packet(grid)
-        xs = grid.axis_positions
-        with pytest.raises(NotAdjacent):
-            phase_difference_check(wf, std_tidal(), STD_DT, [xs[10]], [xs[12]])
-        with pytest.raises(NotAdjacent):
-            phase_difference_check(wf, std_tidal(), STD_DT, [xs[10] + 0.01], [xs[11]])
 
 
 class TestWepSweeps:
@@ -272,6 +230,17 @@ class TestEotvosRatio:
                        scenario.scheme, scenario.evolve_cfg)
         assert eotvos_ratio(run_a, run_b) < 1e-6
 
+    def test_stamp_mismatch_is_the_match_metric_check(self):
+        # one stamp check serves both pairwise metrics: same error, same text
+        scenario = std_scenario(n_steps=30, record_every=10)
+        run = evolve(scenario.build_packet(), scenario.tidal, scenario.scheme,
+                     scenario.evolve_cfg)
+        for other in (replace(run, t=run.t + 0.05), replace(run, t=run.t[:-1])):
+            for metric in (eotvos_ratio, match_metric):
+                with pytest.raises(TimestampMismatch,
+                                   match="^series do not share time stamps$"):
+                    metric(run, other)
+
 
 class TestConvergence:
     def test_too_few_points(self):
@@ -281,6 +250,12 @@ class TestConvergence:
     def test_non_halving_rejected(self):
         with pytest.raises(ConfigError):
             convergence_study(std_scenario(n_steps=784), dt_list=(0.4, 0.3, 0.15))
+
+    @pytest.mark.parametrize("dts", [(0.0, 0.2, 0.1), (-0.4, -0.2, -0.1)])
+    def test_non_positive_dt_rejected(self, dts):
+        # the same ConfigError the loader raises, before any member is built
+        with pytest.raises(ConfigError, match="^dt_list entries must be positive"):
+            convergence_study(std_scenario(n_steps=784), dt_list=dts)
 
     def test_strang_order_two(self):
         scenario = std_scenario(n_steps=784)  # T = 78.4

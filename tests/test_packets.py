@@ -111,14 +111,6 @@ class TestConstruction:
         with pytest.raises(AliasRisk):
             make_packet(grid, PacketShape.gaussian(0.05), [0.0], [0.0], 100.0)
 
-    def test_rest_phase_metadata(self):
-        wf = make_packet(std_grid(), PacketShape.gaussian(1.0), [0.0], [0.0], 100.0)
-        assert wf.rest_phase() == 1.0
-        shifted = WaveFunction(grid=wf.grid, psi=wf.psi, mass=wf.mass, t=0.25)
-        expected = np.exp(-1j * TWO_PI * 100.0 * 0.25)
-        assert shifted.rest_phase() == pytest.approx(expected, abs=1e-12)
-        assert np.allclose(shifted.full_field(), expected * wf.psi, atol=1e-15)
-
 
 class TestSkewedOracle:
     def test_mean_offset_matches_quadrature(self):

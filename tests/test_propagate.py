@@ -112,6 +112,24 @@ class TestTidalStep:
         assert dv == pytest.approx(oracle, abs=1e-10)
         assert dv == pytest.approx(-2e-5, abs=1e-10)
 
+    @pytest.mark.parametrize("entries", [[[1e-4]], [[1e-4, 3e-5], [3e-5, -5e-5]]])
+    def test_node_phase_difference_is_time_dilation(self, entries):
+        # adjacent nodes differ in imprinted phase by -2 pi mu dt x_mid.R.dx,
+        # the gradient of the first-order clock rate (midpoint rule is exact
+        # for a quadratic form)
+        tidal = TidalMatrix(entries)
+        grid = std_grid(n=LEAN_N[tidal.dim], dim=tidal.dim)
+        wf = std_packet(grid)
+        factor = tidal_step(wf, tidal, STD_DT).psi / wf.psi
+        x = np.stack(np.meshgrid(*[grid.axis_positions] * grid.dim, indexing="ij"), axis=-1)
+        for axis in range(grid.dim):
+            lo = (slice(None),) * axis + (slice(None, -1),)
+            hi = (slice(None),) * axis + (slice(1, None),)
+            measured = np.angle(factor[hi] * np.conj(factor[lo]))
+            mid = (x[hi] + x[lo]) / 2.0
+            predicted = -2 * np.pi * STD_MASS * STD_DT * grid.dx * (mid @ tidal.entries[:, axis])
+            assert np.max(np.abs(measured - predicted)) < 1e-13
+
     def test_position_norm_time_unchanged(self):
         wf = std_packet(std_grid(), x0=2.0)
         stepped = tidal_step(wf, std_tidal(), STD_DT)
@@ -139,24 +157,6 @@ class TestTidalStep:
             tidal_step(wf, TidalMatrix([[5e-4]]), 0.01)
         with pytest.raises(ValueError):
             tidal_step(wf, TidalMatrix.zero(2), STD_DT)
-
-    def test_exact_rate_variant(self):
-        # un-truncated clock-rate imprint differs by the bounded series tail
-        # 2 pi mu dt |sqrt(1+q) - 1 - q/2| <= 2 pi mu dt q^2/8 at the edge
-        grid = std_grid()
-        wf = std_packet(grid, x0=2.0)
-        tidal = std_tidal()
-        first = tidal_step(wf, tidal, STD_DT)
-        exact = tidal_step(wf, tidal, STD_DT, exact_rate=True)
-        phase_gap = np.abs(np.angle(exact.psi * np.conj(first.psi)))
-        q_edge = tidal.entries[0, 0] * (grid.extent / 2.0) ** 2
-        bound = 2 * np.pi * STD_MASS * STD_DT * q_edge ** 2 / 8.0
-        assert float(np.max(phase_gap)) <= bound * 1.01
-        assert abs(norm(exact) - 1.0) < 1e-12
-        # the kick changes only at the series-tail level
-        dv_first = mean_velocity_spectral(first)[0] - mean_velocity_spectral(wf)[0]
-        dv_exact = mean_velocity_spectral(exact)[0] - mean_velocity_spectral(wf)[0]
-        assert dv_exact == pytest.approx(dv_first, rel=1e-3)
 
 
 class TestEvolve:
@@ -190,17 +190,6 @@ class TestEvolve:
         series = evolve(wf, tidal, StepScheme.LIE, EvolveConfig(dt=STD_DT, n_steps=1))
         composed = tidal_step(kinetic_step(wf, STD_DT), tidal, STD_DT)
         assert np.max(np.abs(series.final_state.psi - composed.psi)) < 1e-14
-
-    def test_exact_rate_run_stays_close_to_classical(self):
-        from wavefall import ClassicalState, match_metric, rk4_integrate
-        wf = std_packet(std_grid(n=512), x0=2.0)
-        cfg = EvolveConfig(dt=STD_DT, n_steps=400, record_every=10)
-        series = evolve(wf, std_tidal(), StepScheme.STRANG, cfg, exact_rate=True)
-        ref = rk4_integrate(ClassicalState(x=[2.0], v=[0.0]), std_tidal(),
-                            STD_DT, 400).every(10)
-        # the series tail adds an O(eps^2) force correction on top of the
-        # splitting error; stays well inside the weak-field budget
-        assert match_metric(series, ref) < 1e-4
 
     def test_record_cadence_and_final_state(self):
         wf = std_packet(std_grid(), x0=2.0)
@@ -331,9 +320,9 @@ def reference_evolve(wf, tidal, scheme, cfg):
     grid, mass, dt = wf.grid, wf.mass, cfg.dt
     kin = np.exp(-1j * grid.k_squared * (dt / (4.0 * np.pi * mass)))
     if scheme is StepScheme.STRANG:
-        first = last = np.exp(1j * _tidal_phase_field(grid, tidal, mass, dt / 2.0, False))
+        first = last = np.exp(1j * _tidal_phase_field(grid, tidal, mass, dt / 2.0))
     else:
-        first, last = None, np.exp(1j * _tidal_phase_field(grid, tidal, mass, dt, False))
+        first, last = None, np.exp(1j * _tidal_phase_field(grid, tidal, mass, dt))
     margin = _band_slabs(grid, grid.axis_positions,
                          grid.extent / 2.0 - cfg.boundary_margin_fraction * grid.extent)
     armed = cfg.spectral_mass_tol is not None
