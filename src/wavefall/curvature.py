@@ -3,8 +3,8 @@
 Everything is expressed in geometric units (c = G = 1): times and lengths
 share one unit and curvature components carry 1/length^2.  The electric
 components R_{0i0j} form a symmetric d x d matrix which is the sole dynamical
-input of the propagator; the full four-index tensor is kept as its validated
-source (``TidalMatrix.from_riemann``).
+input of the propagator.  ``RiemannComponents`` holds a full four-index
+tensor and checks its symmetries.
 """
 
 from __future__ import annotations
@@ -73,13 +73,6 @@ class TidalMatrix:
     def zero(cls, dim: int) -> "TidalMatrix":
         return cls(np.zeros((dim, dim)))
 
-    @classmethod
-    def from_riemann(cls, riemann: "RiemannComponents", dim: int = 3,
-                     vacuum: bool = False) -> "TidalMatrix":
-        """Extract the electric block R_{0i0j} for the first ``dim`` axes."""
-        block = riemann.entries[0, 1:dim + 1, 0, 1:dim + 1]
-        return cls(np.array(block), vacuum=vacuum)
-
 
 def _riemann_violation(entries: np.ndarray) -> str | None:
     r = entries
@@ -123,11 +116,12 @@ class RiemannComponents:
 
 @dataclass(frozen=True)
 class ValidityReport:
-    """Outcome of the weak-field scale check epsilon = max|R| L^2."""
+    """Outcome of the weak-field scale check epsilon = max|R| L^2; when it
+    fails, ``message`` says why (empty otherwise)."""
 
     epsilon: float
     ok: bool
-    messages: tuple[str, ...] = ()
+    message: str = ""
 
 
 def validate_tidal(tidal: TidalMatrix, domain_extent: float) -> ValidityReport:
@@ -141,11 +135,9 @@ def validate_tidal(tidal: TidalMatrix, domain_extent: float) -> ValidityReport:
         raise ValueError("domain_extent must be positive")
     epsilon = tidal.max_abs() * float(domain_extent) ** 2
     ok = epsilon < DEFAULT_VALIDITY_THRESHOLD
-    messages: tuple[str, ...] = ()
-    if not ok:
-        messages = (f"epsilon={epsilon:.3e} exceeds weak-field threshold "
-                    f"{DEFAULT_VALIDITY_THRESHOLD:g}",)
-    return ValidityReport(epsilon=epsilon, ok=ok, messages=messages)
+    message = "" if ok else (f"epsilon={epsilon:.3e} exceeds weak-field threshold "
+                             f"{DEFAULT_VALIDITY_THRESHOLD:g}")
+    return ValidityReport(epsilon=epsilon, ok=ok, message=message)
 
 
 def proper_time_rate(x, tidal: TidalMatrix) -> float:

@@ -127,20 +127,22 @@ class WaveFunction:
 # --- envelope builders -----------------------------------------------------
 
 def _envelope(grid: SpectralGrid, shape: PacketShape, center: np.ndarray) -> np.ndarray:
+    # each exponent sum starts from its axis-0 term, a sparse array, so in
+    # 3D only the last add is full-size
     sigma = shape.sigmas(grid.dim)
+
+    def exponent(off: float) -> np.ndarray:
+        terms = [((xm - center[ax] - (off if ax == 0 else 0.0)) / (2.0 * sigma[ax])) ** 2
+                 for ax, xm in enumerate(grid.position_meshes)]
+        expo = terms[0]
+        for term in terms[1:]:
+            expo = expo + term
+        return expo
+
     if shape.kind == "double_peak":
         a = shape.tail_param
-        expo_p = np.zeros(grid.shape)
-        expo_m = np.zeros(grid.shape)
-        for ax, xm in enumerate(grid.position_meshes):
-            off = a if ax == 0 else 0.0
-            expo_p = expo_p + ((xm - center[ax] - off) / (2.0 * sigma[ax])) ** 2
-            expo_m = expo_m + ((xm - center[ax] + off) / (2.0 * sigma[ax])) ** 2
-        return np.exp(-expo_p) + np.exp(-expo_m)
-    expo = np.zeros(grid.shape)
-    for ax, xm in enumerate(grid.position_meshes):
-        expo = expo + ((xm - center[ax]) / (2.0 * sigma[ax])) ** 2
-    env = np.exp(-expo)
+        return np.exp(-exponent(a)) + np.exp(-exponent(-a))
+    env = np.exp(-exponent(0.0))
     if shape.kind == "skewed_gaussian":
         s = shape.tail_param
         u0 = (grid.position_meshes[0] - center[0]) / sigma[0]
@@ -248,7 +250,7 @@ def make_packet(grid: SpectralGrid, shape: PacketShape, x0, v0, mass: float) -> 
         if table and not np.any(env):
             raise PacketTooWide("amplitude table leaves the grid empty")
         rho = np.abs(env) ** 2
-        err = _centroid(grid.position_meshes, rho, rho.sum()) - x0
+        err = _centroid(grid.axis_positions, grid.dim, rho, rho.sum()) - x0
         if np.max(np.abs(err)) < _RECENTER_TOL:
             break
         center -= err
@@ -279,31 +281,48 @@ def make_packet(grid: SpectralGrid, shape: PacketShape, x0, v0, mass: float) -> 
 
 # --- observables -----------------------------------------------------------
 
-def _centroid(meshes, weight: np.ndarray, total) -> np.ndarray:
-    """Mean of each broadcastable coordinate mesh under ``weight``, whose
-    sum over the mesh axes is ``total``.
+def _marginal(weight: np.ndarray, dim: int, keep: tuple[int, ...]) -> np.ndarray:
+    """``weight`` summed over its trailing ``dim`` grid axes except the
+    ascending axes ``keep``; ``weight`` itself when it keeps them all."""
+    # one axis per sum, last first: in a long run of 64^3 records, sums
+    # over two axes at once let the process's peak RSS creep up
+    lead = weight.ndim - dim
+    for ax in reversed(range(dim)):
+        if ax not in keep:
+            weight = weight.sum(axis=lead + ax)
+    return weight
+
+
+def _centroid(values: np.ndarray, dim: int, weight: np.ndarray, total) -> np.ndarray:
+    """Mean of each of ``dim`` axes with coordinates ``values`` under
+    ``weight``, whose sum over the grid axes is ``total``: the weight's 1D
+    marginal on that axis dotted with ``values``.
 
     ``weight`` is one field or a stack of them along a leading axis; the
-    means come out as ``(dim,)`` or ``(k, dim)``.  Each sum runs over the
-    trailing mesh axes, which numpy reduces with the same pairwise sum as
-    ``.sum()`` of one contiguous field.
+    means come out as ``(dim,)`` or ``(k, dim)``.  In 1D the marginal is the
+    weight itself, so the sum is the pairwise ``.sum()`` of one contiguous
+    field.
     """
-    axes = tuple(range(-len(meshes), 0))
-    return np.stack([(m * weight).sum(axis=axes) / total for m in meshes], axis=-1)
+    return np.stack([(values * _marginal(weight, dim, (ax,))).sum(axis=-1) / total
+                     for ax in range(dim)], axis=-1)
 
 
-def _covariance(grid: SpectralGrid, rho: np.ndarray, total,
+def _covariance(values: np.ndarray, dim: int, rho: np.ndarray, total,
                 mean: np.ndarray) -> np.ndarray:
     """Second central moments of one density or a stack of them, with the
-    means of ``_centroid``; ``(dim, dim)`` or ``(k, dim, dim)``."""
-    axes = tuple(range(-grid.dim, 0))
-    lead = mean.shape[:-1] + (1,) * grid.dim
-    cov = np.empty(mean.shape + (grid.dim,))
-    centered = [xm - mean[..., ax].reshape(lead)
-                for ax, xm in enumerate(grid.position_meshes)]
-    for i in range(grid.dim):
-        for j in range(i + 1):
-            cij = (centered[i] * centered[j] * rho).sum(axis=axes) / total
+    means of ``_centroid``; ``(dim, dim)`` or ``(k, dim, dim)``.  The
+    diagonal comes from the 1D marginals of ``rho`` and the off-diagonal
+    from the 2D marginal of each axis pair; in 1D ``rho`` is its own
+    marginal."""
+    cov = np.empty(mean.shape + (dim,))
+    centered = [values - mean[..., ax, None] for ax in range(dim)]
+    for i in range(dim):
+        cov[..., i, i] = (centered[i] * centered[i]
+                          * _marginal(rho, dim, (i,))).sum(axis=-1) / total
+        for j in range(i):
+            # the (j, i) marginal holds axis j before axis i
+            cij = (centered[i][..., None, :] * centered[j][..., :, None]
+                   * _marginal(rho, dim, (j, i))).sum(axis=(-2, -1)) / total
             cov[..., i, j] = cov[..., j, i] = cij
     return cov
 
@@ -314,12 +333,13 @@ def moments(grid: SpectralGrid, psi: np.ndarray, mass: float,
     field of a stack ``psi`` of shape ``(k, *grid.shape)``, as arrays of
     shape ``(k,)``, ``(k, dim)``, ``(k, dim)`` and ``(k, dim, dim)``.
 
-    One density and one transform serve all four, and each density is
-    summed once: one ``spectral.transform`` call over the stack and one
-    reduction per moment over the trailing grid axes, whatever ``k``.  Row
-    r equals the public observables of ``psi[r]`` to the bit, since the
-    products keep their operand order and every sum is the pairwise sum
-    ``.sum()`` takes over that field alone.  The index-referenced transform
+    One density and one transform serve all four, whatever ``k``: one
+    ``spectral.transform`` call over the stack, one full sum per density,
+    and the means and covariance from the densities' marginals
+    (``_centroid``, ``_covariance``), so no product spans the full mesh.
+    Row r equals the public observables of ``psi[r]`` to the bit: they take
+    the same helpers, and every sum runs over the trailing grid axes of
+    that field alone.  The index-referenced transform
     (bit for bit ``fftn`` per row) stands in for ``grid.forward``: the
     centre signs it omits are +-1 factors that drop out of |A|^2.
 
@@ -331,12 +351,12 @@ def moments(grid: SpectralGrid, psi: np.ndarray, mass: float,
     rho = np.abs(psi)
     np.square(rho, out=rho)
     total = rho.sum(axis=axes)
-    mean_x = _centroid(grid.position_meshes, rho, total)
+    mean_x = _centroid(grid.axis_positions, grid.dim, rho, total)
     w = np.abs(transform(psi, work, dim=grid.dim))
     np.square(w, out=w)
     return (total * grid.cell_volume, mean_x,
-            _centroid(grid.wavenumber_meshes, w, w.sum(axis=axes)) / (TWO_PI * mass),
-            _covariance(grid, rho, total, mean_x))
+            _centroid(grid.axis_wavenumbers, grid.dim, w, w.sum(axis=axes)) / (TWO_PI * mass),
+            _covariance(grid.axis_positions, grid.dim, rho, total, mean_x))
 
 
 def norm(wf: WaveFunction) -> float:
@@ -346,14 +366,14 @@ def norm(wf: WaveFunction) -> float:
 
 def mean_position(wf: WaveFunction) -> np.ndarray:
     rho = np.abs(wf.psi) ** 2
-    return _centroid(wf.grid.position_meshes, rho, rho.sum())
+    return _centroid(wf.grid.axis_positions, wf.grid.dim, rho, rho.sum())
 
 
 def mean_velocity_spectral(wf: WaveFunction) -> np.ndarray:
     """<k> / (2 pi mu) from the spectral density |A(k)|^2."""
     # the +-1 centre signs of grid.forward drop out of |A|^2 (as in moments)
     w = np.abs(transform(wf.psi)) ** 2
-    return _centroid(wf.grid.wavenumber_meshes, w, w.sum()) / (TWO_PI * wf.mass)
+    return _centroid(wf.grid.axis_wavenumbers, wf.grid.dim, w, w.sum()) / (TWO_PI * wf.mass)
 
 
 def mean_velocity_realspace(wf: WaveFunction) -> np.ndarray:
@@ -374,6 +394,7 @@ def mean_velocity_realspace(wf: WaveFunction) -> np.ndarray:
 
 def covariance(wf: WaveFunction) -> np.ndarray:
     """Second central moments of |psi|^2; symmetric positive semidefinite."""
+    x, dim = wf.grid.axis_positions, wf.grid.dim
     rho = np.abs(wf.psi) ** 2
     total = rho.sum()
-    return _covariance(wf.grid, rho, total, _centroid(wf.grid.position_meshes, rho, total))
+    return _covariance(x, dim, rho, total, _centroid(x, dim, rho, total))

@@ -128,7 +128,7 @@ def check_tidal_factor(grid: SpectralGrid, tidal: TidalMatrix, mass: float,
             f"tidal phase per step {phase:.3f} >= pi at the domain edge; reduce dt")
     report = validate_tidal(tidal, grid.extent)
     if not report.ok:
-        raise OutsideValidity("; ".join(report.messages))
+        raise OutsideValidity(report.message)
     return report.epsilon
 
 

@@ -1,6 +1,7 @@
 """Shared fixtures-adjacent helpers: standard scenario pieces and the
 independent oracles (brute-force DFT, numpy-fft spectral centroid, a
-stand-alone kinetic step) used to cross-check the package's own routines."""
+stand-alone kinetic step, full-mesh moments and zeros-start envelopes) used
+to cross-check the package's own routines."""
 
 from dataclasses import replace
 
@@ -15,7 +16,9 @@ from wavefall import (
     TidalMatrix,
     make_packet,
 )
+from wavefall.packets import _erf
 from wavefall.propagate import check_kinetic_phase
+from wavefall.spectral import transform
 
 # the house scenario: 1D, L=20, sigma=1, mu=100, R=1e-4, x0=2, v0=0, dt=0.1
 STD_L = 20.0
@@ -99,3 +102,52 @@ def random_field(grid, rng, normalized=True):
     if normalized:
         psi /= np.sqrt((np.abs(psi) ** 2).sum() * grid.cell_volume)
     return psi
+
+
+def fullmesh_moments(grid, psi, mass):
+    """(norm, mean position, spectral mean velocity, covariance) of a stack
+    ``psi`` from products of the density with every coordinate mesh, the
+    formula ``packets.moments`` used before it reduced to marginals."""
+    axes = tuple(range(-grid.dim, 0))
+    rho = np.abs(psi) ** 2
+    total = rho.sum(axis=axes)
+
+    def centroid(meshes, weight, weight_total):
+        return np.stack([(m * weight).sum(axis=axes) / weight_total for m in meshes],
+                        axis=-1)
+
+    mean_x = centroid(grid.position_meshes, rho, total)
+    w = np.abs(transform(psi, dim=grid.dim)) ** 2
+    mean_v = centroid(grid.wavenumber_meshes, w, w.sum(axis=axes)) / (2.0 * np.pi * mass)
+    lead = mean_x.shape[:-1] + (1,) * grid.dim
+    centered = [xm - mean_x[..., ax].reshape(lead)
+                for ax, xm in enumerate(grid.position_meshes)]
+    cov = np.empty(mean_x.shape + (grid.dim,))
+    for i in range(grid.dim):
+        for j in range(i + 1):
+            cov[..., i, j] = cov[..., j, i] = (
+                (centered[i] * centered[j] * rho).sum(axis=axes) / total)
+    return total * grid.cell_volume, mean_x, mean_v, cov
+
+
+def zeros_start_envelope(grid, shape, center):
+    """``packets._envelope`` with every exponent sum started from a full-size
+    array of zeros, as it was built before it started from the first term."""
+    sigma = shape.sigmas(grid.dim)
+    if shape.kind == "double_peak":
+        a = shape.tail_param
+        expo_p = np.zeros(grid.shape)
+        expo_m = np.zeros(grid.shape)
+        for ax, xm in enumerate(grid.position_meshes):
+            off = a if ax == 0 else 0.0
+            expo_p = expo_p + ((xm - center[ax] - off) / (2.0 * sigma[ax])) ** 2
+            expo_m = expo_m + ((xm - center[ax] + off) / (2.0 * sigma[ax])) ** 2
+        return np.exp(-expo_p) + np.exp(-expo_m)
+    expo = np.zeros(grid.shape)
+    for ax, xm in enumerate(grid.position_meshes):
+        expo = expo + ((xm - center[ax]) / (2.0 * sigma[ax])) ** 2
+    env = np.exp(-expo)
+    if shape.kind == "skewed_gaussian":
+        u0 = (grid.position_meshes[0] - center[0]) / sigma[0]
+        env = env * (1.0 + _erf(shape.tail_param * u0 / 2.0))
+    return env

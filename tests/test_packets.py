@@ -10,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
-from helpers import npfft_centroid, random_field, std_grid
+from helpers import (
+    fullmesh_moments,
+    npfft_centroid,
+    random_field,
+    std_grid,
+    zeros_start_envelope,
+)
 import wavefall
 from wavefall import (
     AliasRisk,
@@ -129,6 +135,21 @@ class TestSkewedOracle:
         assert abs(grid_mean) > 0.1  # the skew genuinely moves the mean
 
 
+class TestEnvelopeSum:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("kind,tail", [("gaussian", ()), ("skewed_gaussian", (1.5,)),
+                                           ("double_peak", (1.2,))])
+    def test_equal_to_the_zeros_start_sum_to_the_bit(self, dim, kind, tail):
+        # starting each exponent from the first axis's sparse term adds +0
+        # fewer times: every dimension keeps its bits
+        grid = std_grid(n=16, dim=dim)
+        shape = PacketShape(kind, (0.9, 1.1, 1.3)[:dim] + tail)
+        center = np.array([0.37, -1.21, 0.5][:dim])
+        got = _envelope(grid, shape, center)
+        assert got.shape == grid.shape
+        assert got.tobytes() == zeros_start_envelope(grid, shape, center).tobytes()
+
+
 class TestCovariance:
     def test_isotropic_gaussian(self):
         grid = std_grid(n=64, dim=2)
@@ -243,6 +264,48 @@ class TestMoments:
             for g, w in zip(got[1:], (mean_position(wf), mean_velocity_spectral(wf),
                                       covariance(wf))):
                 assert np.array_equal(g[r], w)
+
+
+class TestMarginalOracle:
+    """``moments`` reduces each density to its per-axis marginals; the
+    full-mesh formula it replaced is the oracle."""
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_1d_equal_to_the_full_mesh_formula_to_the_bit(self, rng, k):
+        grid = std_grid(n=512)
+        stack = np.stack([random_field(grid, rng, normalized=False) for _ in range(k)])
+        for g, w in zip(moments(grid, stack, 37.0), fullmesh_moments(grid, stack, 37.0)):
+            assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("dim,n", [(2, 64), (3, 32)])
+    def test_2d_3d_agree_with_the_full_mesh_formula(self, rng, dim, n):
+        grid = std_grid(n=n, dim=dim)
+        stack = np.stack([random_field(grid, rng, normalized=False) for _ in range(2)])
+        stack[1] *= np.exp(-sum((x - 1.0) ** 2 for x in grid.position_meshes) / 4.0)
+        got = moments(grid, stack, 37.0)
+        want = fullmesh_moments(grid, stack, 37.0)
+        # each column against the largest coordinate (product) it averages
+        x_max = grid.extent / 2.0
+        assert got[0].tobytes() == want[0].tobytes()
+        for g, w, scale in zip(got[1:], want[1:],
+                               (x_max, grid.k_max / (TWO_PI * 37.0), x_max ** 2)):
+            assert np.max(np.abs(g - w)) <= 1e-14 * scale
+
+    def test_rotated_anisotropic_gaussian_matches_its_sigma(self):
+        # |psi|^2 ~ exp(-(x - m).S^-1.(x - m) / 2) with S rotated off the grid
+        # axes, so the off-diagonal comes from the 2D marginal alone
+        grid = std_grid(n=64, dim=2)
+        theta = 0.6
+        rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+        sigma = rot @ np.diag([1.2 ** 2, 0.7 ** 2]) @ rot.T
+        inv = np.linalg.inv(sigma)
+        m = (1.0, -0.5)
+        d = [x - c for x, c in zip(grid.position_meshes, m)]
+        quad = sum(inv[i, j] * d[i] * d[j] for i in range(2) for j in range(2))
+        wf = WaveFunction(grid=grid, psi=np.exp(-quad / 4.0), mass=37.0)
+        assert abs(sigma[0, 1]) > 0.3
+        assert np.max(np.abs(covariance(wf) - sigma)) < 1e-10
+        assert np.max(np.abs(mean_position(wf) - m)) < 1e-10
 
 
 class TestNorm:
