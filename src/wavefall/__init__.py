@@ -14,7 +14,6 @@ from .config import ScenarioConfig, load_scenario
 from .curvature import (
     RiemannComponents,
     TidalMatrix,
-    ValidityReport,
     first_order_rate,
     proper_time_rate,
     validate_tidal,

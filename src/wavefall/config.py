@@ -2,11 +2,12 @@
 
 A scenario bundles a grid, a tidal matrix, a packet definition and the run
 settings; sweep-style experiments add ``masses``, ``shapes`` or ``dt_list``
-blocks.  Loading re-validates every module precondition so a bad document
-fails before any array is allocated; every number must be finite, and
-unknown keys are rejected everywhere.  ``resolved()`` returns the full
-document with defaults materialized (the opt-in ``evolve.spectral_mass_tol``
-appears only when set); every CSV/JSON the CLI writes embeds it.
+blocks.  Loading re-validates every module precondition and reads every
+amplitude table, so a bad document fails before any packet is built; every
+number must be finite, and unknown keys are rejected everywhere.
+``resolved()`` returns the full document with defaults materialized (the
+opt-in ``evolve.spectral_mass_tol`` appears only when set); every CSV/JSON
+the CLI writes embeds it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from .classical import ClassicalState
 from .curvature import TidalMatrix
 from .errors import ConfigError
-from .packets import PacketShape, check_packet_preconditions, make_packet
+from .packets import PacketShape, _load_table, check_packet_preconditions, make_packet
 from .propagate import EvolveConfig, StepScheme, check_kinetic_phase, check_tidal_factor
 from .spectral import SpectralGrid
 
@@ -68,10 +69,15 @@ _EVOLVE_OPTIONS = {"record_every": _integer, "boundary_margin_fraction": _number
 _EVOLVE_KEYS = {"dt", "steps", "scheme", *_EVOLVE_OPTIONS}
 
 
-def _vector(value, dim: int, where: str) -> tuple[float, ...]:
+def _numbers(value, where: str, what: str = "a list of numbers") -> tuple[float, ...]:
+    """A list of finite numbers; ``what`` completes the "must be" error."""
     if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"{where} must be a list of {dim} numbers")
-    vec = tuple(_number(v, where) for v in value)
+        raise ConfigError(f"{where} must be {what}")
+    return tuple(_number(v, where) for v in value)
+
+
+def _vector(value, dim: int, where: str) -> tuple[float, ...]:
+    vec = _numbers(value, where, f"a list of {dim} numbers")
     if len(vec) != dim:
         raise ConfigError(f"{where} must have {dim} components, got {len(vec)}")
     return vec
@@ -81,10 +87,7 @@ def _parse_shape(block: dict, where: str) -> PacketShape:
     kind = block.get("shape")
     if not isinstance(kind, str):
         raise ConfigError(f"{where}.shape must be a string")
-    params = block.get("params", [])
-    if not isinstance(params, (list, tuple)):
-        raise ConfigError(f"{where}.params must be a list of numbers")
-    params = tuple(_number(p, f"{where}.params") for p in params)
+    params = _numbers(block.get("params", []), f"{where}.params")
     table = block.get("table")
     if table is not None and kind != "custom_table":
         raise ConfigError(f"{where}.table is only valid for custom_table shapes")
@@ -127,10 +130,8 @@ class ScenarioConfig:
             raise ConfigError(str(exc)) from exc
 
         cb = _block(doc, "curvature", _CURV_KEYS, ("tidal",))
-        entries = cb["tidal"]
-        if not isinstance(entries, (list, tuple)):
-            raise ConfigError("curvature.tidal must be a flat row-major list of numbers")
-        entries = np.array([_number(v, "curvature.tidal") for v in entries])
+        entries = np.array(_numbers(cb["tidal"], "curvature.tidal",
+                                    "a flat row-major list of numbers"))
         if entries.size != grid.dim ** 2:
             raise ConfigError(
                 f"curvature.tidal needs {grid.dim ** 2} entries (row-major), got {entries.size}")
@@ -161,11 +162,7 @@ class ScenarioConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
-        masses = None
-        if "masses" in doc:
-            if not isinstance(doc["masses"], (list, tuple)):
-                raise ConfigError("masses must be a list of numbers")
-            masses = tuple(_number(m, "masses") for m in doc["masses"])
+        masses = _numbers(doc["masses"], "masses") if "masses" in doc else None
         shapes = None
         if "shapes" in doc:
             if not isinstance(doc["shapes"], (list, tuple)):
@@ -181,9 +178,7 @@ class ScenarioConfig:
             shapes = tuple(parsed)
         dt_list = None
         if "dt_list" in doc:
-            if not isinstance(doc["dt_list"], (list, tuple)):
-                raise ConfigError("dt_list must be a list of numbers")
-            dt_list = tuple(_number(v, "dt_list") for v in doc["dt_list"])
+            dt_list = _numbers(doc["dt_list"], "dt_list")
             if any(d <= 0 for d in dt_list):
                 raise ConfigError(f"dt_list entries must be positive, got {list(dt_list)}")
         order_band = None
@@ -215,13 +210,16 @@ class ScenarioConfig:
         return cls.from_dict(doc)
 
     def validate(self) -> None:
-        """Re-run module preconditions without allocating fields."""
+        """Re-run module preconditions and read every amplitude table,
+        without building a packet."""
         check_packet_preconditions(self.grid, self.shape, self.x0, self.v0, self.mass)
         for mass in (self.masses or ()):
             check_packet_preconditions(self.grid, self.shape, self.x0, self.v0, mass)
         for shape in (self.shapes or ()):
-            if shape.kind != "custom_table":
-                check_packet_preconditions(self.grid, shape, self.x0, self.v0, self.mass)
+            check_packet_preconditions(self.grid, shape, self.x0, self.v0, self.mass)
+        for shape in (self.shape, *(self.shapes or ())):
+            if shape.kind == "custom_table":
+                _load_table(shape.table_path)
         dts = [self.evolve_cfg.dt] + [float(d) for d in (self.dt_list or ())]
         for dt in dts:
             for mass in (self.mass,) + tuple(self.masses or ()):

@@ -4,7 +4,9 @@ Everything is expressed in geometric units (c = G = 1): times and lengths
 share one unit and curvature components carry 1/length^2.  The electric
 components R_{0i0j} form a symmetric d x d matrix which is the sole dynamical
 input of the propagator.  ``RiemannComponents`` holds a full four-index
-tensor and checks its symmetries.
+tensor and checks its symmetries.  ``validate_tidal`` is the weak-field
+check: it returns the scale epsilon = max|R| L^2, or raises
+``OutsideValidity`` when epsilon reaches the threshold.
 """
 
 from __future__ import annotations
@@ -114,30 +116,21 @@ class RiemannComponents:
         return cls(np.zeros((4, 4, 4, 4)))
 
 
-@dataclass(frozen=True)
-class ValidityReport:
-    """Outcome of the weak-field scale check epsilon = max|R| L^2; when it
-    fails, ``message`` says why (empty otherwise)."""
+def validate_tidal(tidal: TidalMatrix, domain_extent: float) -> float:
+    """Weak-field check for a domain of the given linear extent.
 
-    epsilon: float
-    ok: bool
-    message: str = ""
-
-
-def validate_tidal(tidal: TidalMatrix, domain_extent: float) -> ValidityReport:
-    """Check the weak-field regime for a domain of the given linear extent.
-
-    ``epsilon = max|R_ij| * domain_extent**2`` estimates the squared ratio of
-    domain size to curvature radius; the report is ``ok`` when it is below
-    ``DEFAULT_VALIDITY_THRESHOLD``, as the first-order clock rate needs.
+    Returns ``epsilon = max|R_ij| * domain_extent**2``, the squared ratio of
+    domain size to curvature radius, when it is below
+    ``DEFAULT_VALIDITY_THRESHOLD``, as the first-order clock rate needs;
+    raises ``OutsideValidity`` otherwise.
     """
     if domain_extent <= 0:
         raise ValueError("domain_extent must be positive")
     epsilon = tidal.max_abs() * float(domain_extent) ** 2
-    ok = epsilon < DEFAULT_VALIDITY_THRESHOLD
-    message = "" if ok else (f"epsilon={epsilon:.3e} exceeds weak-field threshold "
-                             f"{DEFAULT_VALIDITY_THRESHOLD:g}")
-    return ValidityReport(epsilon=epsilon, ok=ok, message=message)
+    if not epsilon < DEFAULT_VALIDITY_THRESHOLD:
+        raise OutsideValidity(f"epsilon={epsilon:.3e} exceeds weak-field threshold "
+                              f"{DEFAULT_VALIDITY_THRESHOLD:g}")
+    return epsilon
 
 
 def proper_time_rate(x, tidal: TidalMatrix) -> float:

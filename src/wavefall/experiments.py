@@ -5,8 +5,11 @@ Sweep and convergence members are independent runs of one runner,
 ``_evolve_members``.  They run one after another, in the order given, on
 the calling thread, so the first member that fails stops the experiment,
 its error labelled (``mass=200:``, ``dt=0.4:``), and the members after it
-never run.  Reports are plain dataclasses with ``to_dict`` for JSON
-serialization and a ``passed`` verdict.
+never run.  Each sweep reads its members from the scenario alone: the mass
+sweep its ``masses``, the shape sweep its ``shapes``, the convergence study
+its ``dt_list`` and ``scheme``.  Reports are plain dataclasses with
+``to_dict`` for JSON serialization and a ``passed`` verdict computed from
+their fields.
 """
 
 from __future__ import annotations
@@ -96,7 +99,11 @@ class WepReport:
     eotvos: np.ndarray
     threshold: float
     amplitude: float
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        off = self.deviations[~np.eye(len(self.labels), dtype=bool)]
+        return bool(np.all(off < self.threshold))
 
     def to_dict(self) -> dict:
         return {
@@ -106,7 +113,7 @@ class WepReport:
             "eotvos": [[float(v) for v in row] for row in self.eotvos],
             "threshold": float(self.threshold),
             "amplitude": float(self.amplitude),
-            "pass": bool(self.passed),
+            "pass": self.passed,
         }
 
 
@@ -170,8 +177,7 @@ def ripple_check(wf: WaveFunction, tidal: TidalMatrix, dt: float) -> RippleRepor
 
 # --- universality sweeps -----------------------------------------------------
 
-def _pairwise_report(kind: str, labels, runs: list[MomentSeries],
-                     threshold: float | None) -> WepReport:
+def _pairwise_report(kind: str, labels, runs: list[MomentSeries]) -> WepReport:
     n = len(runs)
     deviations = np.zeros((n, n))
     eotvos = np.zeros((n, n))
@@ -180,47 +186,42 @@ def _pairwise_report(kind: str, labels, runs: list[MomentSeries],
             deviations[i, j] = deviations[j, i] = match_metric(runs[i], runs[j])
             eotvos[i, j] = eotvos[j, i] = eotvos_ratio(runs[i], runs[j])
     amplitude = max(float(np.max(np.linalg.norm(r.mean_x, axis=1))) for r in runs)
-    if threshold is None:
-        threshold = DEFAULT_WEP_RTOL * max(1.0, amplitude)
-    off = deviations[~np.eye(n, dtype=bool)]
-    passed = bool(np.all(off < threshold))
     return WepReport(kind=kind, labels=tuple(labels), deviations=deviations,
-                     eotvos=eotvos, threshold=threshold, amplitude=amplitude,
-                     passed=passed)
+                     eotvos=eotvos, threshold=DEFAULT_WEP_RTOL * max(1.0, amplitude),
+                     amplitude=amplitude)
 
 
-def wep_mass_sweep(scenario: ScenarioConfig, masses=None,
-                   threshold: float | None = None) -> WepReport:
-    """Evolve the same packet and curvature for several masses and compare
-    the recorded mean trajectories pairwise.
+def wep_mass_sweep(scenario: ScenarioConfig) -> WepReport:
+    """Evolve the same packet and curvature for each of the scenario's
+    ``masses`` and compare the recorded mean trajectories pairwise.
 
     Members run in the order given; the first that fails raises its error,
     labelled with its mass, and the masses after it are not evolved."""
-    masses = tuple(masses if masses is not None else (scenario.masses or ()))
+    masses = scenario.masses or ()
     if len(masses) < 2:
         raise TooFewVariants("mass sweep needs at least two masses")
     labels = [f"mass={m:g}" for m in masses]
     runs = list(_evolve_members(scenario, (
         (label, {"mass": m}, scenario.evolve_cfg, scenario.scheme)
         for label, m in zip(labels, masses))))
-    return _pairwise_report("mass", labels, runs, threshold)
+    return _pairwise_report("mass", labels, runs)
 
 
-def wep_shape_sweep(scenario: ScenarioConfig, shapes=None,
-                    threshold: float | None = None) -> WepReport:
-    """As the mass sweep, but varying the envelope with matched first moments.
+def wep_shape_sweep(scenario: ScenarioConfig) -> WepReport:
+    """As the mass sweep, but over the scenario's ``shapes``: envelopes with
+    matched first moments.
 
     Members run in the order given; the first that fails raises its error,
     labelled with its index and kind, and the shapes after it are not
     built."""
-    shapes = tuple(shapes if shapes is not None else (scenario.shapes or ()))
+    shapes = scenario.shapes or ()
     if len(shapes) < 2:
         raise TooFewVariants("shape sweep needs at least two shapes")
     # make_packet holds the first moments to x0, v0 within MOMENT_TOL
     runs = list(_evolve_members(scenario, (
         (f"shape[{i}]={shape.kind}", {"shape": shape}, scenario.evolve_cfg, scenario.scheme)
         for i, shape in enumerate(shapes))))
-    return _pairwise_report("shape", [s.kind for s in shapes], runs, threshold)
+    return _pairwise_report("shape", [s.kind for s in shapes], runs)
 
 
 def eotvos_ratio(run_a: MomentSeries, run_b: MomentSeries) -> float:
@@ -240,17 +241,18 @@ def eotvos_ratio(run_a: MomentSeries, run_b: MomentSeries) -> float:
 
 # --- convergence -------------------------------------------------------------
 
-def convergence_study(scenario: ScenarioConfig, dt_list=None,
-                      scheme: StepScheme | None = None) -> ConvergenceReport:
-    """Fit the observable-error order of the splitting against step size.
+def convergence_study(scenario: ScenarioConfig) -> ConvergenceReport:
+    """Fit the observable-error order of the scenario's ``scheme`` against
+    the step sizes of its ``dt_list``.
 
     Each run covers the scenario duration with its own dt and otherwise the
     scenario's evolve settings, monitors included; its error is the
     max-deviation from the closed-form classical flow at its own record
     stamps.  Runs go in the order of ``dt_list``, one series held at a time;
-    the pass band is ``order_band``, else the scheme's default band.
+    the pass band is ``order_band``, else the scheme's default band.  The
+    dt-list guards run here too: a scenario built in Python skips the loader.
     """
-    dts = tuple(float(d) for d in (dt_list if dt_list is not None else (scenario.dt_list or ())))
+    dts = tuple(float(d) for d in (scenario.dt_list or ()))
     if len(dts) < 3:
         raise TooFewPoints("convergence study needs at least three step sizes")
     if any(d <= 0 for d in dts):
@@ -258,7 +260,7 @@ def convergence_study(scenario: ScenarioConfig, dt_list=None,
     for a, b in zip(dts, dts[1:]):
         if abs(b / a - 0.5) > 1e-9:
             raise ConfigError(f"each dt must halve the previous one, got {a} -> {b}")
-    scheme = StepScheme(scheme if scheme is not None else scenario.scheme)
+    scheme = scenario.scheme
     duration = scenario.duration()
 
     def member(dt: float) -> tuple:

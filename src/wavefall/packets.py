@@ -190,7 +190,8 @@ def _boost(grid: SpectralGrid, psi: np.ndarray, mass: float, v: np.ndarray) -> n
 
 def check_packet_preconditions(grid: SpectralGrid, shape: PacketShape,
                                x0, v0, mass: float) -> None:
-    """Support and wavenumber-budget guards, shared with config validation."""
+    """Support and wavenumber-budget guards, shared with config validation;
+    a tabulated shape must be one-dimensional."""
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     v0 = np.asarray(v0, dtype=float).reshape(-1)
     if x0.size != grid.dim or v0.size != grid.dim:
@@ -207,16 +208,19 @@ def check_packet_preconditions(grid: SpectralGrid, shape: PacketShape,
 
     L = grid.extent
     sigma = shape.sigmas(grid.dim)
-    if sigma is not None:
-        if np.any(sigma > L / 8.0):
-            raise PacketTooWide(f"width {sigma.max():.3g} exceeds L/8 = {L / 8:.3g}")
-        if np.max(np.abs(x0)) > L / 4.0:
-            raise PacketTooWide(f"|x0| = {np.max(np.abs(x0)):.3g} exceeds L/4 = {L / 4:.3g}")
-        if k0 + 4.0 / sigma.min() > grid.k_max:
-            raise AliasRisk(
-                f"k0 + 4/sigma = {k0 + 4.0 / sigma.min():.3g} exceeds k_max = {grid.k_max:.3g}")
-        if shape.kind == "double_peak" and 2.0 * shape.tail_param >= L / 4.0:
-            raise PacketTooWide(f"peak separation {2 * shape.tail_param:.3g} must stay below L/4")
+    if sigma is None:
+        if grid.dim != 1:
+            raise ConfigError("custom_table packets are one-dimensional")
+        return
+    if np.any(sigma > L / 8.0):
+        raise PacketTooWide(f"width {sigma.max():.3g} exceeds L/8 = {L / 8:.3g}")
+    if np.max(np.abs(x0)) > L / 4.0:
+        raise PacketTooWide(f"|x0| = {np.max(np.abs(x0)):.3g} exceeds L/4 = {L / 4:.3g}")
+    if k0 + 4.0 / sigma.min() > grid.k_max:
+        raise AliasRisk(
+            f"k0 + 4/sigma = {k0 + 4.0 / sigma.min():.3g} exceeds k_max = {grid.k_max:.3g}")
+    if shape.kind == "double_peak" and 2.0 * shape.tail_param >= L / 4.0:
+        raise PacketTooWide(f"peak separation {2 * shape.tail_param:.3g} must stay below L/4")
 
 
 def make_packet(grid: SpectralGrid, shape: PacketShape, x0, v0, mass: float) -> WaveFunction:
@@ -234,8 +238,6 @@ def make_packet(grid: SpectralGrid, shape: PacketShape, x0, v0, mass: float) -> 
 
     table = shape.kind == "custom_table"
     if table:
-        if grid.dim != 1:
-            raise ConfigError("custom_table packets are one-dimensional")
         positions, amplitudes = _load_table(shape.table_path)
 
     def build(center: np.ndarray) -> np.ndarray:

@@ -33,7 +33,6 @@ import numpy as np
 from .curvature import TidalMatrix, validate_tidal
 from .errors import (
     BoundaryContact,
-    OutsideValidity,
     SpectralEdgeContact,
     StepTooLarge,
     TimestampMismatch,
@@ -126,10 +125,7 @@ def check_tidal_factor(grid: SpectralGrid, tidal: TidalMatrix, mass: float,
     if phase >= np.pi:
         raise StepTooLarge(
             f"tidal phase per step {phase:.3f} >= pi at the domain edge; reduce dt")
-    report = validate_tidal(tidal, grid.extent)
-    if not report.ok:
-        raise OutsideValidity(report.message)
-    return report.epsilon
+    return validate_tidal(tidal, grid.extent)
 
 
 def _tidal_phase_field(grid: SpectralGrid, tidal: TidalMatrix, mass: float,

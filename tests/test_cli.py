@@ -23,6 +23,14 @@ def base_doc(**overrides):
     return doc
 
 
+def weak_field_violation_doc():
+    """epsilon = R L^2 = 0.4 exceeds the weak-field threshold 0.1; mu=5
+    keeps the tidal phase per step (0.16) inside its budget."""
+    doc = base_doc(curvature={"tidal": [1e-3]})
+    doc["packet"]["mass"] = 5.0
+    return doc
+
+
 def write(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -120,12 +128,16 @@ class TestConfigLoading:
         from wavefall import OutsideValidity, PacketTooWide
         wide = base_doc()
         wide["packet"]["params"] = [5.0]  # wider than L/8
-        # epsilon = R L^2 = 0.4 exceeds the weak-field threshold 0.1; mu=5
-        # keeps the tidal phase per step (0.16) inside its budget
-        strong = base_doc(curvature={"tidal": [1e-3]})
-        strong["packet"]["mass"] = 5.0
-        for doc, error, text in ((wide, PacketTooWide, None),
-                                 (strong, OutsideValidity, "^epsilon=4.000e-01 exceeds")):
+        # the dimension check comes before the table would be read
+        table_2d = base_doc(grid={"dim": 2, "n": 16, "extent": 20.0},
+                            curvature={"tidal": [1e-4, 0.0, 0.0, 1e-4]},
+                            packet={"shape": "custom_table", "table": "unread.csv",
+                                    "x0": [0.0, 0.0], "v0": [0.0, 0.0], "mass": 100.0})
+        for doc, error, text in (
+                (wide, PacketTooWide, None),
+                (weak_field_violation_doc(), OutsideValidity,
+                 r"^epsilon=4\.000e-01 exceeds weak-field threshold 0\.1$"),
+                (table_2d, ConfigError, "^custom_table packets are one-dimensional$")):
             with pytest.raises(error, match=text):
                 ScenarioConfig.from_dict(doc)
 
@@ -152,6 +164,12 @@ class TestRunCommand:
         code = main(["run", "--config", write(tmp_path, doc), "--out", str(out)])
         assert code == 2
         assert "PacketTooWide" in capsys.readouterr().err
+        assert not out.exists()
+        code = main(["run", "--config", write(tmp_path, weak_field_violation_doc()),
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == ("OutsideValidity: epsilon=4.000e-01 exceeds "
+                                           "weak-field threshold 0.1\n")
         assert not out.exists()
 
     def test_determinism(self, tmp_path):
@@ -291,6 +309,21 @@ class TestWepCommand:
                                {"shape": "gaussian", "params": [1.0]}])
         assert main(["wep", "--config", write(tmp_path, doc), "--out", str(out)]) == 2
         assert capsys.readouterr().err == line
+        assert not out.exists()
+
+    def test_unreadable_table_fails_before_any_member(self, tmp_path, capsys, monkeypatch):
+        import wavefall.experiments as experiments
+        calls = []
+        monkeypatch.setattr(experiments, "evolve", lambda *a, **k: calls.append("evolve"))
+        missing = str(tmp_path / "missing.csv")
+        doc = base_doc(shapes=[{"shape": "gaussian", "params": [1.0]},
+                               {"shape": "skewed_gaussian", "params": [1.0, 1.0]},
+                               {"shape": "custom_table", "table": missing}])
+        out = tmp_path / "wep.json"
+        assert main(["wep", "--config", write(tmp_path, doc), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"ConfigError: cannot read amplitude table {missing!r}")
+        assert calls == []
         assert not out.exists()
 
     def test_shape_sweep_via_cli(self, tmp_path):

@@ -53,16 +53,21 @@ class TestTidalMatrix:
             TidalMatrix(np.diag([1e-4, 1e-4, 1e-4]), vacuum=True)
 
 
+def epsilon_or_none(tidal, extent):
+    """validate_tidal's epsilon, or None where it raises OutsideValidity."""
+    try:
+        return validate_tidal(tidal, extent)
+    except OutsideValidity:
+        return None
+
+
 class TestValidateTidal:
     def test_zero_curvature(self):
-        rep = validate_tidal(TidalMatrix.zero(3), 10.0)
-        assert rep.epsilon == 0.0 and rep.ok
+        assert validate_tidal(TidalMatrix.zero(3), 10.0) == 0.0
 
     def test_vacuum_tracefree_ok(self):
         tm = TidalMatrix(np.diag([-2.0, 1.0, 1.0]) * 1e-4, vacuum=True)
-        rep = validate_tidal(tm, 10.0)
-        assert math.isclose(rep.epsilon, 2e-2, rel_tol=1e-12)
-        assert rep.ok
+        assert math.isclose(validate_tidal(tm, 10.0), 2e-2, rel_tol=1e-12)
 
     def test_vacuum_trace_violation(self):
         # the trace guard lives in TidalMatrix: a traced vacuum matrix never
@@ -70,14 +75,13 @@ class TestValidateTidal:
         traced = np.diag([1.0, 1.0, 1.0]) * 1e-4
         with pytest.raises(TraceNotZero):
             validate_tidal(TidalMatrix(traced, vacuum=True), 10.0)
-        rep = validate_tidal(TidalMatrix(traced), 10.0)
-        assert math.isclose(rep.epsilon, 1e-2, rel_tol=1e-12) and rep.ok
+        assert math.isclose(validate_tidal(TidalMatrix(traced), 10.0), 1e-2, rel_tol=1e-12)
 
     def test_not_ok_above_threshold(self):
-        rep = validate_tidal(TidalMatrix([[1e-3]]), 20.0)
-        assert not rep.ok
-        assert rep.message == "epsilon=4.000e-01 exceeds weak-field threshold 0.1"
-        assert validate_tidal(TidalMatrix([[1e-4]]), 20.0).message == ""
+        with pytest.raises(OutsideValidity,
+                           match=r"^epsilon=4\.000e-01 exceeds weak-field threshold 0\.1$"):
+            validate_tidal(TidalMatrix([[1e-3]]), 20.0)
+        assert validate_tidal(TidalMatrix([[1e-4]]), 20.0) == pytest.approx(0.04, rel=1e-12)
 
     def test_bad_extent(self):
         with pytest.raises(ValueError):
@@ -90,11 +94,12 @@ class TestValidateTidal:
         # growing the domain never turns a failing check into a passing one
         small, big = sorted(extents)
         tm = TidalMatrix([[r]])
-        rep_small = validate_tidal(tm, small)
-        rep_big = validate_tidal(tm, big)
-        assert rep_big.epsilon >= rep_small.epsilon
-        if not rep_small.ok:
-            assert not rep_big.ok
+        eps_small = epsilon_or_none(tm, small)
+        eps_big = epsilon_or_none(tm, big)
+        if eps_small is None:
+            assert eps_big is None
+        elif eps_big is not None:
+            assert eps_big >= eps_small
 
 
 class TestClockRates:

@@ -77,8 +77,8 @@ class TestRippleCheck:
 
 class TestWepSweeps:
     def test_identical_masses_zero_deviation(self):
-        scenario = std_scenario(n_steps=200, record_every=10)
-        report = wep_mass_sweep(scenario, masses=(100.0, 100.0))
+        scenario = std_scenario(n_steps=200, record_every=10, masses=(100.0, 100.0))
+        report = wep_mass_sweep(scenario)
         assert report.passed
         assert np.array_equal(report.deviations, report.deviations.T)
         assert np.all(report.deviations == 0.0)
@@ -86,31 +86,36 @@ class TestWepSweeps:
         assert report.labels == ("mass=100", "mass=100")
 
     def test_mass_sweep_short_run(self):
-        scenario = std_scenario(n_steps=300, record_every=10)
-        report = wep_mass_sweep(scenario, masses=(50.0, 100.0, 200.0))
+        scenario = std_scenario(n_steps=300, record_every=10, masses=(50.0, 100.0, 200.0))
+        report = wep_mass_sweep(scenario)
         assert report.passed
         assert np.max(report.deviations) < 1e-8
         assert np.max(report.eotvos) < 1e-6
+        # the verdict is read from the fields: a deviation at the threshold fails
+        worst = float(np.max(report.deviations))
+        assert not replace(report, threshold=worst).passed
+        assert replace(report, threshold=worst).to_dict()["pass"] is False
+        assert replace(report, threshold=np.nextafter(worst, 1.0)).passed
 
     def test_too_few_masses(self):
         with pytest.raises(TooFewVariants):
-            wep_mass_sweep(std_scenario(n_steps=10), masses=(100.0,))
+            wep_mass_sweep(std_scenario(n_steps=10, masses=(100.0,)))
         with pytest.raises(TooFewVariants):
             wep_mass_sweep(std_scenario(n_steps=10))  # no masses block
 
     def test_identical_shapes_zero_deviation(self):
-        scenario = std_scenario(n_steps=200, record_every=10)
-        report = wep_shape_sweep(
-            scenario, shapes=(PacketShape.gaussian(1.0), PacketShape.gaussian(1.0)))
+        scenario = std_scenario(n_steps=200, record_every=10,
+                                shapes=(PacketShape.gaussian(1.0), PacketShape.gaussian(1.0)))
+        report = wep_shape_sweep(scenario)
         assert report.passed and np.all(report.deviations == 0.0)
         assert report.labels == ("gaussian", "gaussian")
 
     def test_shape_sweep_short_run(self):
-        scenario = std_scenario(n_steps=300, record_every=10)
-        report = wep_shape_sweep(scenario, shapes=(
+        scenario = std_scenario(n_steps=300, record_every=10, shapes=(
             PacketShape.gaussian(1.0),
             PacketShape.skewed_gaussian(1.0, skew=1.0),
             PacketShape.double_peak(0.7, half_separation=1.2)))
+        report = wep_shape_sweep(scenario)
         assert report.passed
         assert np.max(report.deviations) < 1e-8
 
@@ -121,10 +126,10 @@ class TestWepSweeps:
         amp = np.exp(-((x - 2.0) ** 2) / 4.0)
         table = tmp_path / "comb.csv"
         np.savetxt(table, np.column_stack([x, amp, 0 * amp]), delimiter=",")
-        scenario = std_scenario(n_steps=10)
+        scenario = std_scenario(n_steps=10, shapes=(
+            PacketShape.gaussian(1.0), PacketShape.from_table(str(table))))
         with pytest.raises(InitialMomentMismatch) as info:
-            wep_shape_sweep(scenario, shapes=(
-                PacketShape.gaussian(1.0), PacketShape.from_table(str(table))))
+            wep_shape_sweep(scenario)
         assert "custom_table" in str(info.value)
 
 
@@ -149,8 +154,8 @@ class TestSerialSweep:
         scenario = std_scenario(n_steps=200, record_every=10)
         shapes = (PacketShape.gaussian(1.0), PacketShape.double_peak(0.7, half_separation=1.2))
         seen = self._capture(monkeypatch)
-        wep_mass_sweep(scenario, masses=(50.0, 100.0))
-        wep_shape_sweep(scenario, shapes=shapes)
+        wep_mass_sweep(replace(scenario, masses=(50.0, 100.0)))
+        wep_shape_sweep(replace(scenario, shapes=shapes))
         monkeypatch.undo()
         packets = ([scenario.build_packet(mass=m) for m in (50.0, 100.0)]
                    + [scenario.build_packet(shape=s) for s in shapes])
@@ -164,10 +169,11 @@ class TestSerialSweep:
     def test_first_failing_member_stops_the_sweep(self, monkeypatch):
         # mu=100 wraps at step 761 and mu=200 would wrap at step 352, but
         # members run in list order: mu=200 is never evolved
-        scenario = std_scenario(n_steps=1570, record_every=10, spectral_mass_tol=1e-10)
+        scenario = std_scenario(n_steps=1570, record_every=10, spectral_mass_tol=1e-10,
+                                masses=(50.0, 100.0, 200.0))
         seen = self._capture(monkeypatch)
         with pytest.raises(SpectralEdgeContact) as info:
-            wep_mass_sweep(scenario, masses=(50.0, 100.0, 200.0))
+            wep_mass_sweep(scenario)
         assert str(info.value).startswith("mass=100: spectral edge mass")
         assert str(info.value).endswith("at step 761")
         assert info.value.step_index == 761
@@ -179,9 +185,10 @@ class TestArmedSpectralMonitor:
     # quarter period ends; mu=50 never does
 
     def test_mass_sweep_surfaces_member_error(self):
-        scenario = std_scenario(n_steps=1570, record_every=10, spectral_mass_tol=1e-10)
+        scenario = std_scenario(n_steps=1570, record_every=10, spectral_mass_tol=1e-10,
+                                masses=(50.0, 200.0))
         with pytest.raises(SpectralEdgeContact) as info:
-            wep_mass_sweep(scenario, masses=(50.0, 200.0))
+            wep_mass_sweep(scenario)
         exc = info.value
         assert str(exc).startswith("mass=200: spectral edge mass")
         assert 0 < exc.step_index < 1570
@@ -190,9 +197,9 @@ class TestArmedSpectralMonitor:
         assert exc.partial.final_state.t == pytest.approx(exc.step_index * STD_DT)
 
     def test_convergence_study_keeps_monitor(self):
-        scenario = std_scenario(n_steps=1568, spectral_mass_tol=1e-10)
+        scenario = std_scenario(n_steps=1568, spectral_mass_tol=1e-10, dt_list=(0.4, 0.2, 0.1))
         with pytest.raises(SpectralEdgeContact):
-            convergence_study(scenario, dt_list=(0.4, 0.2, 0.1))
+            convergence_study(scenario)
 
     def test_shipped_mass_sweep_clears_the_edge(self):
         # N=768 holds mu=200 over the quarter period with a margin of about
@@ -245,34 +252,32 @@ class TestEotvosRatio:
 class TestConvergence:
     def test_too_few_points(self):
         with pytest.raises(TooFewPoints):
-            convergence_study(std_scenario(n_steps=784), dt_list=(0.1,))
+            convergence_study(std_scenario(n_steps=784, dt_list=(0.1,)))
 
     def test_non_halving_rejected(self):
         with pytest.raises(ConfigError):
-            convergence_study(std_scenario(n_steps=784), dt_list=(0.4, 0.3, 0.15))
+            convergence_study(std_scenario(n_steps=784, dt_list=(0.4, 0.3, 0.15)))
 
     @pytest.mark.parametrize("dts", [(0.0, 0.2, 0.1), (-0.4, -0.2, -0.1)])
     def test_non_positive_dt_rejected(self, dts):
         # the same ConfigError the loader raises, before any member is built
         with pytest.raises(ConfigError, match="^dt_list entries must be positive"):
-            convergence_study(std_scenario(n_steps=784), dt_list=dts)
+            convergence_study(std_scenario(n_steps=784, dt_list=dts))
 
     def test_strang_order_two(self):
-        scenario = std_scenario(n_steps=784)  # T = 78.4
-        report = convergence_study(scenario, dt_list=(0.4, 0.2, 0.1),
-                                   scheme=StepScheme.STRANG)
+        scenario = std_scenario(n_steps=784, dt_list=(0.4, 0.2, 0.1))  # T = 78.4
+        report = convergence_study(scenario)
         assert 1.8 <= report.order <= 2.2
         assert report.errors[0] > report.errors[-1]
 
     def test_lie_order_one(self):
-        scenario = std_scenario(n_steps=784)
-        report = convergence_study(scenario, dt_list=(0.4, 0.2, 0.1),
-                                   scheme=StepScheme.LIE)
+        scenario = std_scenario(n_steps=784, dt_list=(0.4, 0.2, 0.1), scheme=StepScheme.LIE)
+        report = convergence_study(scenario)
         assert 0.8 <= report.order <= 1.2
 
     def test_report_shape(self):
-        scenario = std_scenario(n_steps=784)
-        report = convergence_study(scenario, dt_list=(0.4, 0.2, 0.1))
+        scenario = std_scenario(n_steps=784, dt_list=(0.4, 0.2, 0.1))
+        report = convergence_study(scenario)
         doc = report.to_dict()
         assert doc["scheme"] == "strang"
         assert len(doc["dt"]) == len(doc["errors"]) == 3
