@@ -35,11 +35,13 @@ round the Nyquist edge, and ``converge`` with an ``order_band`` of
 aborts with exit 3: a light, drifting packet trips ``BoundaryContact`` at
 step 18 of its dt=0.4 member.
 
-Two variants are configs that fail at load (exit 2, no output): ``run`` on
-``configs/standard_1d.json`` with a NaN in ``packet.v0`` and ``converge``
-on ``configs/converge_strang_1d.json`` with a zero in ``dt_list``.  A NaN
-is written as JSON's non-standard ``NaN``, as Python's ``json`` module
-writes and reads it.
+Three variants exit 2 with no output.  Two are configs that fail at
+load: ``run`` on ``configs/standard_1d.json`` with a NaN in ``packet.v0``
+and ``converge`` on ``configs/converge_strang_1d.json`` with a zero in
+``dt_list``.  A NaN is written as JSON's non-standard ``NaN``, as Python's
+``json`` module writes and reads it.  The third is ``wep`` on
+``configs/standard_1d.json`` with masses 50 and 100 over 10 steps: two
+records, too few for the Eotvos ratios (``TooFewRecords``).
 
 Every variant's line names the changed
 keys (``<block>.<key>``, or ``<key>`` at the top level) and adds the
@@ -92,7 +94,8 @@ VARIANTS = (("run", "1d", (("evolve", "spectral_mass_tol", 1e-10),)),
             ("converge", "1d", CONVERGE_1D + (("packet", "mass", 50), ("packet", "v0", [0.03]),
                                               ("evolve", "boundary_mass_tol", 3e-9))),
             ("run", "1d", (("packet", "v0", [float("nan")]),)),
-            ("converge", "strang", ((None, "dt_list", [0.0, 0.2, 0.1]),)))
+            ("converge", "strang", ((None, "dt_list", [0.0, 0.2, 0.1]),)),
+            ("wep", "1d", ((None, "masses", [50, 100]), ("evolve", "steps", 10))))
 
 
 def scenarios() -> list[tuple[str, Path]]:

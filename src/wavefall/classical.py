@@ -24,7 +24,6 @@ class ClassicalState:
 
     x: np.ndarray
     v: np.ndarray
-    t: float = 0.0
 
     def __post_init__(self):
         x = np.atleast_1d(np.asarray(self.x, dtype=float))
@@ -45,10 +44,6 @@ class TrajectorySeries:
     t: np.ndarray
     x: np.ndarray
     v: np.ndarray
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.t
 
     @property
     def positions(self) -> np.ndarray:
@@ -82,8 +77,7 @@ def rk4_integrate(state: ClassicalState, tidal: TidalMatrix, dt: float,
         if speed >= MAX_CLASSICAL_SPEED:
             raise VelocityTooHigh(f"|v|={speed:.3g} left the low-energy regime at step {i}")
         xs[i], vs[i] = x, v
-    t = state.t + dt * np.arange(n_steps + 1)
-    return TrajectorySeries(t=t, x=xs, v=vs)
+    return TrajectorySeries(t=dt * np.arange(n_steps + 1), x=xs, v=vs)
 
 
 def exact_flow(x0, v0, tidal: TidalMatrix, t) -> TrajectorySeries:
@@ -119,8 +113,8 @@ def exact_flow(x0, v0, tidal: TidalMatrix, t) -> TrajectorySeries:
 
 
 def _check_stamps(series_a, series_b) -> None:
-    """Raise TimestampMismatch unless both ``times`` agree within 1e-9."""
-    ta, tb = np.asarray(series_a.times), np.asarray(series_b.times)
+    """Raise TimestampMismatch unless both stamps ``t`` agree within 1e-9."""
+    ta, tb = np.asarray(series_a.t), np.asarray(series_b.t)
     if ta.shape != tb.shape or np.max(np.abs(ta - tb), initial=0.0) > 1e-9:
         raise TimestampMismatch("series do not share time stamps")
 
@@ -128,7 +122,7 @@ def _check_stamps(series_a, series_b) -> None:
 def match_metric(series_a, series_b) -> float:
     """max over time of the Euclidean deviation between two position series.
 
-    Both arguments just need ``times`` and ``positions``; quantum moment
+    Both arguments just need ``t`` and ``positions``; quantum moment
     series and classical trajectories both qualify.
     """
     _check_stamps(series_a, series_b)

@@ -59,15 +59,15 @@ class StepTooLarge(SimulationError):
 class BoundaryContact(SimulationError):
     """Probability mass entered the boundary margin band.
 
-    ``partial`` holds the moment series recorded up to the abort, when the
-    caller was evolving; ``step_index`` is the step at which the monitor
-    tripped (0 means the initial state already violated the margin).
+    ``partial`` holds the moment series recorded before the abort;
+    ``step_index`` is the step at which the monitor tripped (0 means the
+    initial state already violated the margin).
     """
 
-    def __init__(self, step_index, message=None, partial=None):
+    def __init__(self, step_index, message, partial):
         self.step_index = step_index
         self.partial = partial
-        super().__init__(message or f"boundary margin mass exceeded at step {step_index}")
+        super().__init__(message)
 
 
 class SpectralEdgeContact(BoundaryContact):

@@ -35,6 +35,7 @@ from .propagate import (
     StepScheme,
     _tidal_phase_field,
     acceleration_series,
+    check_records,
     evolve,
     tidal_step,
 )
@@ -54,12 +55,12 @@ def _annotate(exc: SimulationError, label: str) -> SimulationError:
 
 def _evolve_members(scenario: ScenarioConfig, members):
     """Build and evolve each member ``(label, packet keywords, evolve
-    config, scheme)`` in order and yield its series, keeping none.  The
-    first member that fails raises its error labelled with its label; the
-    members after it are not built."""
-    for label, packet, cfg, scheme in members:
+    config)`` in order, with the scenario's scheme, and yield its series,
+    keeping none.  The first member that fails raises its error labelled
+    with its label; the members after it are not built."""
+    for label, packet, cfg in members:
         try:
-            yield evolve(scenario.build_packet(**packet), scenario.tidal, scheme, cfg)
+            yield evolve(scenario.build_packet(**packet), scenario.tidal, scenario.scheme, cfg)
         except SimulationError as exc:
             raise _annotate(exc, label) from exc
 
@@ -200,10 +201,10 @@ def wep_mass_sweep(scenario: ScenarioConfig) -> WepReport:
     masses = scenario.masses or ()
     if len(masses) < 2:
         raise TooFewVariants("mass sweep needs at least two masses")
+    check_records(scenario.evolve_cfg.n_records)
     labels = [f"mass={m:g}" for m in masses]
     runs = list(_evolve_members(scenario, (
-        (label, {"mass": m}, scenario.evolve_cfg, scenario.scheme)
-        for label, m in zip(labels, masses))))
+        (label, {"mass": m}, scenario.evolve_cfg) for label, m in zip(labels, masses))))
     return _pairwise_report("mass", labels, runs)
 
 
@@ -217,9 +218,10 @@ def wep_shape_sweep(scenario: ScenarioConfig) -> WepReport:
     shapes = scenario.shapes or ()
     if len(shapes) < 2:
         raise TooFewVariants("shape sweep needs at least two shapes")
+    check_records(scenario.evolve_cfg.n_records)
     # make_packet holds the first moments to x0, v0 within MOMENT_TOL
     runs = list(_evolve_members(scenario, (
-        (f"shape[{i}]={shape.kind}", {"shape": shape}, scenario.evolve_cfg, scenario.scheme)
+        (f"shape[{i}]={shape.kind}", {"shape": shape}, scenario.evolve_cfg)
         for i, shape in enumerate(shapes))))
     return _pairwise_report("shape", [s.kind for s in shapes], runs)
 
@@ -260,15 +262,13 @@ def convergence_study(scenario: ScenarioConfig) -> ConvergenceReport:
     for a, b in zip(dts, dts[1:]):
         if abs(b / a - 0.5) > 1e-9:
             raise ConfigError(f"each dt must halve the previous one, got {a} -> {b}")
-    scheme = scenario.scheme
     duration = scenario.duration()
 
     def member(dt: float) -> tuple:
         n = round(duration / dt)
         if abs(n * dt - duration) > 1e-9:
             raise ConfigError(f"duration {duration} is not a multiple of dt={dt}")
-        return (f"dt={dt:g}", {}, replace(scenario.evolve_cfg, dt=dt, n_steps=n, record_every=1),
-                scheme)
+        return (f"dt={dt:g}", {}, replace(scenario.evolve_cfg, dt=dt, n_steps=n, record_every=1))
 
     def error(series: MomentSeries) -> float:
         return match_metric(series, exact_flow(scenario.x0, scenario.v0, scenario.tidal,
@@ -276,5 +276,5 @@ def convergence_study(scenario: ScenarioConfig) -> ConvergenceReport:
 
     errors = tuple(map(error, _evolve_members(scenario, map(member, dts))))
     slope = float(np.polyfit(np.log(dts), np.log(errors), 1)[0])
-    return ConvergenceReport(scheme=scheme.value, dts=dts, errors=errors, order=slope,
-                             band=scenario.order_band or DEFAULT_ORDER_BANDS[scheme])
+    return ConvergenceReport(scheme=scenario.scheme.value, dts=dts, errors=errors, order=slope,
+                             band=scenario.order_band or DEFAULT_ORDER_BANDS[scenario.scheme])

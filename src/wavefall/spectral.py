@@ -18,9 +18,9 @@ transform ufuncs called directly, without the per-call argument handling
 of ``numpy.fft``'s Python functions.  It transforms the trailing axes of
 its input, so the records take one call for a whole stack of snapshots,
 and it may transform a field in place.  The 1D step loop calls the two
-ufuncs, exported here as ``fft_ufunc`` and ``ifft_ufunc``, itself: one
-call per transform with the scale ``1/sqrt(n)``, which is what
-``transform`` does for a 1D field, without its Python frame.
+ufuncs, exported here as ``fft_ufunc`` and ``ifft_ufunc``, itself, with
+the scale ``1/sqrt(n)``: the bits of ``transform`` without its Python
+frame.
 """
 
 from __future__ import annotations
@@ -157,8 +157,7 @@ def transform(field: np.ndarray, out: np.ndarray | None = None,
     with ``dim=grid.dim``: every row of a stack is transformed as that field
     alone would be, bit for bit.  One ufunc call per transformed axis, last
     axis first as ``fftn`` goes, each scaled by 1/sqrt(n) (equal to numpy's
-    ``reciprocal(sqrt(n))``, both correctly rounded); a one-axis transform
-    takes one call on the ufunc's default (last) axis.  The first axis
+    ``reciprocal(sqrt(n))``, both correctly rounded).  The first axis
     writes into ``out`` (allocated when None) and the others transform it in
     place; ``field`` is only read unless it is ``out``.  Returns ``out``.
     """
@@ -167,8 +166,6 @@ def transform(field: np.ndarray, out: np.ndarray | None = None,
         out = np.empty_like(field, dtype=np.result_type(field.dtype, 1j))
     if dim is None:
         dim = field.ndim
-    if dim == 1:
-        return ufunc(field, 1.0 / math.sqrt(field.shape[-1]), out=out)
     for ax in range(field.ndim - 1, field.ndim - 1 - dim, -1):
         ufunc(field, 1.0 / math.sqrt(field.shape[ax]), axes=[(ax,), (), (ax,)], out=out)
         field = out

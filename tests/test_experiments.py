@@ -8,6 +8,7 @@ from helpers import STD_DT, STD_MASS, std_grid, std_packet, std_scenario, std_ti
 from wavefall import (
     ConfigError,
     ConvergenceReport,
+    EvolveConfig,
     InitialMomentMismatch,
     PacketShape,
     PhaseWrapRisk,
@@ -15,7 +16,9 @@ from wavefall import (
     StepScheme,
     TimestampMismatch,
     TooFewPoints,
+    TooFewRecords,
     TooFewVariants,
+    acceleration_series,
     convergence_study,
     eotvos_ratio,
     evolve,
@@ -178,6 +181,21 @@ class TestSerialSweep:
         assert str(info.value).endswith("at step 761")
         assert info.value.step_index == 761
         assert len(seen) == 2
+        # two records cannot fill the Eotvos stencil: each sweep raises the
+        # error acceleration_series would, before it evolves any member
+        short = replace(scenario, evolve_cfg=EvolveConfig(dt=STD_DT, n_steps=10,
+                                                          record_every=10))
+        with pytest.raises(TooFewRecords) as late:
+            acceleration_series(evolve(short.build_packet(), short.tidal, short.scheme,
+                                       short.evolve_cfg))
+        seen.clear()
+        shapes = (PacketShape.gaussian(1.0), PacketShape.double_peak(0.7, half_separation=1.2))
+        for sweep, members in ((wep_mass_sweep, short),
+                               (wep_shape_sweep, replace(short, masses=None, shapes=shapes))):
+            with pytest.raises(TooFewRecords) as early:
+                sweep(members)
+            assert str(early.value) == str(late.value) == "need at least 3 records, got 2"
+        assert seen == []
 
 
 class TestArmedSpectralMonitor:

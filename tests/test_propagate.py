@@ -45,6 +45,8 @@ from wavefall.propagate import (
 from wavefall.spectral import SpectralGrid
 
 TWO_PI = 2.0 * np.pi
+# the keys of every series' diagnostics, full or partial
+DIAGNOSTICS = {"epsilon", "max_margin_mass", "max_spectral_edge_mass"}
 
 
 class TestKineticStep:
@@ -198,8 +200,7 @@ class TestEvolve:
         assert series.n_records == 3
         assert np.allclose(series.t, [0.0, 0.7, 1.4], atol=1e-12)
         assert series.final_state.t == pytest.approx(2.0, abs=1e-12)
-        assert "epsilon" in series.diagnostics
-        assert "dropped_cross_term_rel" in series.diagnostics
+        assert set(series.diagnostics) == DIAGNOSTICS
 
     def test_quarter_period_tracks_classical(self):
         # resolution chosen so the focused spectrum fits the lattice: the
@@ -380,8 +381,10 @@ class TestLeanLoop:
         tidal = TidalMatrix(LEAN_TIDAL[dim])
         # records and the armed edge monitor read the spectrum buffer the
         # transforms write; 1e-10 never trips here (peak edge mass <= 1e-15).
-        # The steps run in record blocks: every=7 ends on a short block,
-        # every=40 is one block ending in a record, every=50 one short block
+        # Over 40 steps the cadences cover a record every step (every=1), a
+        # run whose last steps follow its last record (every=7), a last
+        # record on the last step (every=40) and no record after step 0
+        # (every=50)
         for wf, every, tol in ((outward, 7, None), (outward, 1, None), (outward, 7, 1e-10),
                                (outward, 1, 1e-10), (inward, 7, 1e-10),
                                (outward, 40, None), (outward, 50, 1e-10)):
@@ -444,6 +447,7 @@ class TestLeanLoop:
             for got, want in ((partial.t, t), (partial.norm, nrm), (partial.mean_x, mx),
                               (partial.mean_v, mv), (partial.cov, cov)):
                 assert np.array_equal(got, want)
+            assert set(partial.diagnostics) == DIAGNOSTICS
             for key, peak in peaks.items():
                 assert partial.diagnostics[key] == peak
 
