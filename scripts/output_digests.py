@@ -49,6 +49,12 @@ digest of stderr, which carries any abort message:
 
     <command> <config> <key>=<value>... exit=<code> sha256=<digest> stderr_sha256=<digest>
 
+The last line runs ``configs/flat_1d.json`` with ``--out /dev/full``, a
+device every write to which fails, so it needs Linux's ``/dev/full``: the
+failed write exits 2 with one ``ConfigError`` line and no output digest:
+
+    run configs/flat_1d.json --out /dev/full exit=2 sha256=- stderr_sha256=<digest>
+
 Two checkouts give byte-identical outputs exactly when their printouts are
 equal, so a behaviour-neutral change is checked with
 
@@ -113,7 +119,8 @@ def run(command: str, config: Path, out: Path) -> tuple[int, str, str]:
     done = subprocess.run(
         [sys.executable, "-m", "wavefall", command, "--config", str(config), "--out", str(out)],
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), capture_output=True)
-    digest = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else "-"
+    # only a regular file is read back: /dev/full reads as endless zeros
+    digest = hashlib.sha256(out.read_bytes()).hexdigest() if out.is_file() else "-"
     return done.returncode, digest, hashlib.sha256(done.stderr).hexdigest()
 
 
@@ -144,6 +151,10 @@ def main() -> int:
             changed = " ".join(f"{key if block is None else f'{block}.{key}'}={json.dumps(value)}"
                                for block, key, value in settings)
             print(f"{command} {label} {changed} exit={code} sha256={digest} stderr_sha256={err}")
+    flat = ROOT / "configs" / "flat_1d.json"
+    code, digest, err = run("run", flat, Path("/dev/full"))
+    print(f"run {flat.relative_to(ROOT)} --out /dev/full exit={code} sha256={digest} "
+          f"stderr_sha256={err}")
     return 0
 
 

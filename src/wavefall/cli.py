@@ -7,13 +7,14 @@
 
 Exit codes: 0 success/pass, 1 ran-but-failed (a pass/fail command whose
 report's ``passed`` came out False), 2 validation error (an unreadable
-config or an ``--out`` with no directory to go into included), 3 runtime
-abort (a monitor tripped: BoundaryContact for mass in the position margin
-band, or SpectralEdgeContact for mass at the Nyquist edge when
-``evolve.spectral_mass_tol`` is set; ``run`` flushes the partial CSV with a
-trailing ``# aborted: <error class>: ...`` line).  ``main`` writes every
-report the same way; each report carries its own pass rule (``experiments``).
-Every output embeds the fully resolved config for reproducibility.
+config, an ``--out`` with no directory to go into and a failed write of
+the output included), 3 runtime abort (a monitor tripped: BoundaryContact
+for mass in the position margin band, or SpectralEdgeContact for mass at
+the Nyquist edge when ``evolve.spectral_mass_tol`` is set; ``run`` flushes
+the partial CSV with a trailing ``# aborted: <error class>: ...`` line).
+``main`` writes every report the same way; each report carries its own
+pass rule (``experiments``).  Every output goes through ``_write`` and
+embeds the fully resolved config for reproducibility.
 """
 
 from __future__ import annotations
@@ -32,8 +33,18 @@ from .experiments import convergence_study, ripple_check, wep_mass_sweep, wep_sh
 from .propagate import MomentSeries, evolve
 
 
+def _write(path: str, text: str) -> None:
+    """Write one output file; a failed write is a validation error."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path!r}: {exc}") from exc
+
+
 def _write_series_csv(path: str, scenario: ScenarioConfig, series: MomentSeries,
-                      classical_x: np.ndarray, aborted: str | None = None) -> None:
+                      aborted: BoundaryContact | None = None) -> None:
+    """The series with the closed-form classical positions at its stamps."""
     d = scenario.grid.dim
     cols = (["t", "norm"]
             + [f"mx{i + 1}" for i in range(d)]
@@ -43,27 +54,20 @@ def _write_series_csv(path: str, scenario: ScenarioConfig, series: MomentSeries,
             + ["dev"])
     lines = ["# config: " + json.dumps(scenario.resolved(), sort_keys=True),
              ",".join(cols)]
+    classical_x = exact_flow(scenario.x0, scenario.v0, scenario.tidal, series.t).x
     # per-row norms: a vector's norm is sqrt(dot), the axis form sums squares
     dev = [np.linalg.norm(x - c) for x, c in zip(series.mean_x, classical_x)]
     table = np.column_stack((series.t, series.norm, series.mean_x, series.mean_v,
                              series.cov.reshape(series.n_records, -1), classical_x, dev))
     lines.extend(",".join(map(repr, row)) for row in table.tolist())
-    if aborted:
-        lines.append(f"# aborted: {aborted}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    if aborted is not None:
+        lines.append(f"# aborted: {type(aborted).__name__}: {aborted}")
+    _write(path, "\n".join(lines) + "\n")
 
 
 def _write_report_json(path: str, scenario: ScenarioConfig, report: dict) -> None:
     doc = {"config": scenario.resolved(), "report": report}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _classical_reference(scenario: ScenarioConfig, series: MomentSeries) -> np.ndarray:
-    """Closed-form classical positions at the recorded stamps."""
-    return exact_flow(scenario.x0, scenario.v0, scenario.tidal, series.t).x
+    _write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_run(scenario: ScenarioConfig, out: str) -> int:
@@ -71,11 +75,9 @@ def cmd_run(scenario: ScenarioConfig, out: str) -> int:
         series = evolve(scenario.build_packet(), scenario.tidal, scenario.scheme,
                         scenario.evolve_cfg)
     except BoundaryContact as exc:
-        _write_series_csv(out, scenario, exc.partial,
-                          _classical_reference(scenario, exc.partial),
-                          aborted=f"{type(exc).__name__}: {exc}")
+        _write_series_csv(out, scenario, exc.partial, aborted=exc)
         raise
-    _write_series_csv(out, scenario, series, _classical_reference(scenario, series))
+    _write_series_csv(out, scenario, series)
     return 0
 
 
@@ -128,10 +130,10 @@ def main(argv=None) -> int:
         if args.command == "run":
             return cmd_run(scenario, args.out)
         report = _report(args.command, scenario)
+        _write_report_json(args.out, scenario, report.to_dict())
     except SimulationError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, BoundaryContact) else 2
-    _write_report_json(args.out, scenario, report.to_dict())
     return 0 if report.passed else 1
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -196,19 +195,6 @@ class ScenarioConfig:
         cfg.validate()
         return cfg
 
-    @classmethod
-    def from_file(cls, path) -> "ScenarioConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from exc
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        return cls.from_dict(doc)
-
     def validate(self) -> None:
         """Re-run module preconditions and read every amplitude table,
         without building a packet."""
@@ -272,6 +258,17 @@ class ScenarioConfig:
 
 
 def load_scenario(path) -> ScenarioConfig:
-    if not Path(path).exists():
-        raise ConfigError(f"config file not found: {path}")
-    return ScenarioConfig.from_file(path)
+    """Read and validate a scenario file; every read failure is a ConfigError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    # a missing file, or a path that runs through a regular file
+    except (FileNotFoundError, NotADirectoryError) as exc:
+        raise ConfigError(f"config file not found: {path}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    return ScenarioConfig.from_dict(doc)

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wavefall import BoundaryContact, ConfigError, ScenarioConfig, evolve, exact_flow
+from wavefall import (BoundaryContact, ConfigError, ScenarioConfig, evolve, exact_flow,
+                      load_scenario)
 from wavefall.cli import main
 
 
@@ -63,7 +64,7 @@ class TestArguments:
 
 class TestConfigLoading:
     def test_roundtrip(self, tmp_path):
-        cfg = ScenarioConfig.from_file(write(tmp_path, base_doc()))
+        cfg = load_scenario(write(tmp_path, base_doc()))
         assert cfg.grid.n == 256
         assert cfg.mass == 100.0
         assert cfg.scheme.value == "strang"
@@ -425,12 +426,15 @@ class TestShippedConfigs:
         paths = sorted(configs.glob("*.json"))
         assert len(paths) >= 7
         for path in paths:
-            ScenarioConfig.from_file(path)
+            load_scenario(path)
 
     def test_missing_config_file(self, tmp_path, capsys):
-        code = main(["run", "--config", str(tmp_path / "nope.json"),
-                     "--out", str(tmp_path / "o.csv")])
-        assert code == 2
+        # a path that runs through a regular file is not found either
+        (tmp_path / "file").touch()
+        for config in (tmp_path / "nope.json", tmp_path / "file" / "c.json"):
+            code = main(["run", "--config", str(config), "--out", str(tmp_path / "o.csv")])
+            assert code == 2
+            assert capsys.readouterr().err == f"ConfigError: config file not found: {config}\n"
 
 
 class TestMalformedConfigs:
@@ -486,8 +490,9 @@ class TestMalformedConfigs:
 
 
 class TestUnusablePaths:
-    # a config that cannot be read as text, or an output with no directory
-    # to go into, is a validation error: exit 2 with one ConfigError line
+    # a config that cannot be read as text, an output with no directory to
+    # go into and a failed write are validation errors: exit 2 with one
+    # ConfigError line
 
     @pytest.mark.parametrize("case", ["directory", "not_utf8"])
     def test_unreadable_config_exits_2(self, tmp_path, case):
@@ -522,3 +527,24 @@ class TestUnusablePaths:
         assert err.count("\n") == 1
         assert calls == []
         assert out.is_dir() if case == "directory" else not out.parent.exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("case", ["run", "run_aborted", "ripple"])
+    def test_failed_write_exits_2(self, tmp_path, case):
+        # a write that fails after the work is done is a validation error,
+        # for a full run, a run's partial CSV after an abort and a report
+        doc = base_doc()
+        if case == "run_aborted":
+            # the armed edge monitor stops the shipped standard_1d run
+            shipped = Path(__file__).resolve().parent.parent / "configs" / "standard_1d.json"
+            doc = json.loads(shipped.read_text())
+            doc["evolve"]["spectral_mass_tol"] = 1e-10
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        done = subprocess.run(
+            [sys.executable, "-m", "wavefall", case.split("_")[0], "--config",
+             write(tmp_path, doc), "--out", "/dev/full"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 2
+        assert done.stderr.startswith("ConfigError: cannot write output '/dev/full'")
+        assert done.stderr.count("\n") == 1
+        assert "Traceback" not in done.stderr

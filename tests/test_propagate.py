@@ -384,21 +384,22 @@ class TestLeanLoop:
         # Over 40 steps the cadences cover a record every step (every=1), a
         # run whose last steps follow its last record (every=7), a last
         # record on the last step (every=40) and no record after step 0
-        # (every=50)
-        for wf, every, tol in ((outward, 7, None), (outward, 1, None), (outward, 7, 1e-10),
-                               (outward, 1, 1e-10), (inward, 7, 1e-10),
-                               (outward, 40, None), (outward, 50, 1e-10)):
-            cfg = EvolveConfig(dt=STD_DT, n_steps=40, record_every=every,
-                               spectral_mass_tol=tol)
-            series = evolve(wf, tidal, scheme, cfg)
-            (t, nrm, mx, mv, cov), psi, peaks, stop = reference_evolve(wf, tidal, scheme, cfg)
+        # (every=50).  A step's record, the peaks and the final state do not
+        # depend on the cadence, so one reference run per packet and monitor
+        # setting records every step and each cadence takes its rows from it
+        for wf, tol, cadences in ((outward, None, (7, 1, 40)), (outward, 1e-10, (7, 1, 50)),
+                                  (inward, 1e-10, (7,))):
+            cfg = EvolveConfig(dt=STD_DT, n_steps=40, spectral_mass_tol=tol)
+            cols, psi, peaks, stop = reference_evolve(wf, tidal, scheme, cfg)
             assert stop is None
-            assert np.array_equal(series.final_state.psi, psi)
-            for key, peak in peaks.items():
-                assert series.diagnostics[key] == peak
-            for got, want in ((series.t, t), (series.norm, nrm), (series.mean_x, mx),
-                              (series.mean_v, mv), (series.cov, cov)):
-                assert np.array_equal(got, want)
+            for every in cadences:
+                series = evolve(wf, tidal, scheme, replace(cfg, record_every=every))
+                assert np.array_equal(series.final_state.psi, psi)
+                for key, peak in peaks.items():
+                    assert series.diagnostics[key] == peak
+                for got, want in zip((series.t, series.norm, series.mean_x, series.mean_v,
+                                      series.cov), cols):
+                    assert np.array_equal(got, want[::every])
 
     @pytest.mark.parametrize("scheme", [StepScheme.LIE, StepScheme.STRANG])
     def test_1d_margin_without_right_run_matches_reference(self, scheme):
@@ -458,7 +459,8 @@ class TestLeanLoop:
         # a budget of `depth` fields: the records go to moments in full
         # stacks, and the rows still pending when the run ends or aborts go
         # in one last, shorter stack; each run ends part way through a stack
-        # (an abort records at the smallest cadence for which it does)
+        # (an abort records at the smallest cadence for which it does); each
+        # reference run records every step, and a cadence takes its rows
         grid = SpectralGrid(dim=dim, n=LEAN_N[dim], extent=20.0)
         monkeypatch.setattr(propagate, "RECORD_STACK_BYTES", depth * 16 * grid.n ** dim)
         stacks = []
@@ -482,12 +484,12 @@ class TestLeanLoop:
                          EvolveConfig(dt=STD_DT, n_steps=1570, record_every=1,
                                       spectral_mass_tol=1e-10)))
         for wf, tidal, kind, cfg in runs:
-            stop = reference_evolve(wf, tidal, scheme, cfg)[3]
+            cols, psi, peaks, stop = reference_evolve(wf, tidal, scheme, cfg)
             if stop is not None:
                 every = next(e for e in itertools.count(1) if ((stop - 1) // e + 1) % depth)
                 cfg = replace(cfg, record_every=every)
+            t, nrm, mx, mv, cov = (col[::cfg.record_every] for col in cols)
             stacks.clear()
-            (t, nrm, mx, mv, cov), psi, peaks, stop = reference_evolve(wf, tidal, scheme, cfg)
             if kind is None:
                 got = evolve(wf, tidal, scheme, cfg)
                 assert stop is None
