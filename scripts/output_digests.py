@@ -43,6 +43,11 @@ and ``converge`` on ``configs/converge_strang_1d.json`` with a zero in
 ``configs/standard_1d.json`` with masses 50 and 100 over 10 steps: two
 records, too few for the Eotvos ratios (``TooFewRecords``).
 
+One variant passes: ``wep`` on ``configs/wep_shapes_1d.json`` with two
+Gaussians of widths 1.0 and 0.7 over 200 steps, whose report labels its
+members ``shape[0]=gaussian`` and ``shape[1]=gaussian``, since they share
+a kind.
+
 Every variant's line names the changed
 keys (``<block>.<key>``, or ``<key>`` at the top level) and adds the
 digest of stderr, which carries any abort message:
@@ -82,9 +87,10 @@ RUN_2D = {
 }
 FIELD_3D = ROOT / "perfbench" / "templates" / "field_3d.json"
 # (command, base config, (block, key, value) settings made in it): one
-# failing run per entry; the base is "1d" (configs/standard_1d.json),
-# "strang" (configs/converge_strang_1d.json), "2d" (RUN_2D) or "3d"
-# (FIELD_3D), and a block of None sets a top-level key
+# failing run per entry but the last; the base is "1d"
+# (configs/standard_1d.json), "strang" (configs/converge_strang_1d.json),
+# "shapes" (configs/wep_shapes_1d.json), "2d" (RUN_2D) or "3d" (FIELD_3D),
+# and a block of None sets a top-level key
 CONVERGE_1D = ((None, "dt_list", [0.4, 0.2, 0.1]), ("evolve", "steps", 784))
 VARIANTS = (("run", "1d", (("evolve", "spectral_mass_tol", 1e-10),)),
             ("run", "1d", (("evolve", "record_every", 1), ("evolve", "spectral_mass_tol", 1e-10))),
@@ -101,7 +107,10 @@ VARIANTS = (("run", "1d", (("evolve", "spectral_mass_tol", 1e-10),)),
                                               ("evolve", "boundary_mass_tol", 3e-9))),
             ("run", "1d", (("packet", "v0", [float("nan")]),)),
             ("converge", "strang", ((None, "dt_list", [0.0, 0.2, 0.1]),)),
-            ("wep", "1d", ((None, "masses", [50, 100]), ("evolve", "steps", 10))))
+            ("wep", "1d", ((None, "masses", [50, 100]), ("evolve", "steps", 10))),
+            ("wep", "shapes", ((None, "shapes", [{"shape": "gaussian", "params": [1.0]},
+                                                 {"shape": "gaussian", "params": [0.7]}]),
+                               ("evolve", "steps", 200))))
 
 
 def scenarios() -> list[tuple[str, Path]]:
@@ -135,8 +144,10 @@ def main() -> int:
         print(f"run <generated>/{config.name} exit={code} sha256={digest}")
         std = ROOT / "configs" / "standard_1d.json"
         strang = ROOT / "configs" / "converge_strang_1d.json"
+        shapes = ROOT / "configs" / "wep_shapes_1d.json"
         bases = {"1d": (str(std.relative_to(ROOT)), std.read_text()),
                  "strang": (str(strang.relative_to(ROOT)), strang.read_text()),
+                 "shapes": (str(shapes.relative_to(ROOT)), shapes.read_text()),
                  "2d": (f"<generated>/{config.name}", json.dumps(RUN_2D)),
                  "3d": (str(FIELD_3D.relative_to(ROOT)), FIELD_3D.read_text())}
         for i, (command, base, settings) in enumerate(VARIANTS):

@@ -196,13 +196,19 @@ def wep_mass_sweep(scenario: ScenarioConfig) -> WepReport:
     """Evolve the same packet and curvature for each of the scenario's
     ``masses`` and compare the recorded mean trajectories pairwise.
 
-    Members run in the order given; the first that fails raises its error,
-    labelled with its mass, and the masses after it are not evolved."""
+    Each member is labelled ``mass=<m>``, with ``m`` written ``:g`` when
+    that reads back as ``m`` and in full otherwise, or ``mass[i]=<m>`` when
+    two masses are equal, so no two members share a label.  Members run in
+    the order given; the first that fails raises its error, labelled, and
+    the masses after it are not evolved."""
     masses = scenario.masses or ()
     if len(masses) < 2:
         raise TooFewVariants("mass sweep needs at least two masses")
     check_records(scenario.evolve_cfg.n_records)
-    labels = [f"mass={m:g}" for m in masses]
+    texts = [f"{m:g}" if float(f"{m:g}") == m else repr(m) for m in masses]
+    distinct = len(set(texts)) == len(texts)
+    labels = [f"mass={text}" if distinct else f"mass[{i}]={text}"
+              for i, text in enumerate(texts)]
     runs = list(_evolve_members(scenario, (
         (label, {"mass": m}, scenario.evolve_cfg) for label, m in zip(labels, masses))))
     return _pairwise_report("mass", labels, runs)
@@ -212,18 +218,22 @@ def wep_shape_sweep(scenario: ScenarioConfig) -> WepReport:
     """As the mass sweep, but over the scenario's ``shapes``: envelopes with
     matched first moments.
 
-    Members run in the order given; the first that fails raises its error,
-    labelled with its index and kind, and the shapes after it are not
-    built."""
+    The report labels each member with its kind, or with ``shape[i]=<kind>``
+    when two kinds are equal, so no two members share a label.  Members run
+    in the order given; the first that fails raises its error, labelled
+    ``shape[i]=<kind>``, and the shapes after it are not built."""
     shapes = scenario.shapes or ()
     if len(shapes) < 2:
         raise TooFewVariants("shape sweep needs at least two shapes")
     check_records(scenario.evolve_cfg.n_records)
+    kinds = [shape.kind for shape in shapes]
+    indexed = [f"shape[{i}]={kind}" for i, kind in enumerate(kinds)]
     # make_packet holds the first moments to x0, v0 within MOMENT_TOL
     runs = list(_evolve_members(scenario, (
-        (f"shape[{i}]={shape.kind}", {"shape": shape}, scenario.evolve_cfg)
-        for i, shape in enumerate(shapes))))
-    return _pairwise_report("shape", [s.kind for s in shapes], runs)
+        (label, {"shape": shape}, scenario.evolve_cfg)
+        for label, shape in zip(indexed, shapes))))
+    return _pairwise_report("shape", kinds if len(set(kinds)) == len(kinds) else indexed,
+                            runs)
 
 
 def eotvos_ratio(run_a: MomentSeries, run_b: MomentSeries) -> float:

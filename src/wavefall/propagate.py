@@ -29,6 +29,10 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
+# numpy's C-level vdot, which np.vdot reaches through its __array_function__
+# dispatcher; bound here, like spectral's transform ufuncs, so that the step
+# loop skips the dispatch and a numpy that moves it fails at import
+from numpy._core._multiarray_umath import vdot
 
 from .curvature import TidalMatrix, validate_tidal
 from .errors import (
@@ -44,8 +48,10 @@ from .spectral import SpectralGrid, fft_ufunc, ifft_ufunc, transform
 # the spectral monitor watches |k_i| >= (1 - SPECTRAL_EDGE_FRACTION) k_max
 SPECTRAL_EDGE_FRACTION = 0.1
 # at most this many bytes of state snapshots are held for one stacked
-# moments call; a field too large for two is recorded alone, as a view
-RECORD_STACK_BYTES = 64 * 1024
+# moments call: 32 rows at N=256, 16 at N=512, 10 at N=768 and 2 at 64^2,
+# and every temporary of a stacked call stays under glibc's 128 KiB mmap
+# threshold; a field too large for two is recorded alone, as a view
+RECORD_STACK_BYTES = 128 * 1024
 
 
 class StepScheme(str, Enum):
@@ -181,7 +187,7 @@ def _band_mass(parts: list[np.ndarray], dV: float) -> float:
     """sum |values|^2 dV over slab views of one field, slab by slab."""
     total = 0.0
     for part in parts:
-        total += np.vdot(part, part).real
+        total += vdot(part, part).real
     return float(total) * dV
 
 
@@ -348,10 +354,13 @@ def evolve(wf: WaveFunction, tidal: TidalMatrix, scheme: StepScheme,
     # inline, left then right as _band_mass does, to the same bits (a band
     # narrower than a cell at the right end has no right run: an empty view,
     # whose 0.0 adds exactly); 2D/3D steps go through transform and _band_mass.
-    # Both 1D paths pay for themselves in paired runs of standard_1d_hires
-    # (N=512, 1570 steps; 2-CPU x86-64, numpy 2.4): without the direct ufunc
-    # calls a run was faster in only 46 of 200 pairs (median 46.5 ms before,
-    # 48.2 ms after), and without the inline sum it took 1.4-1.6% longer
+    # The multiplies pass their output positionally and the sums call the
+    # C-level vdot, which skips numpy's keyword parsing and array-function
+    # dispatch (about 0.46 us of a 1.26 us multiply and 0.33 us of a 1.25 us
+    # vdot at N=512).  With the 128 KiB record stacks this cut perfbench's
+    # run_1d wall_s (a CLI run of standard_1d_hires, N=512, 1570 steps;
+    # 2-CPU x86-64, numpy 2.4) from a median 0.0463 to 0.0448 s, lower in
+    # 12 of 12 alternating parent/change pairs
     flat = grid.dim == 1
     scale = 1.0 / math.sqrt(grid.n)
     lo, hi = (margin + [state[:0]])[:2]
@@ -359,7 +368,7 @@ def evolve(wf: WaveFunction, tidal: TidalMatrix, scheme: StepScheme,
     # bitwise commutative, and outputs are promised byte for byte
     for step in range(1, cfg.n_steps + 1):
         if tid_first is not None:
-            np.multiply(tid_first, whole, out=whole)
+            np.multiply(tid_first, whole, whole)
         # index-referenced transforms: the centre signs of grid.forward and
         # grid.inverse cancel around the diagonal kinetic factor (S^2 = 1),
         # and a +-1 multiply is exact, so the state is theirs to the bit
@@ -371,14 +380,14 @@ def evolve(wf: WaveFunction, tidal: TidalMatrix, scheme: StepScheme,
         # phase, so the edge band mass is the same on either side of it
         if edge:
             edge_mass = _band_mass(edge, dV)
-        np.multiply(kin, whole, out=whole)
+        np.multiply(kin, whole, whole)
         if flat:
             ifft_ufunc(state, scale, out=state)
         else:
             transform(state, state, inverse=True)
-        np.multiply(tid_last, whole, out=whole)
+        np.multiply(tid_last, whole, whole)
         if flat:
-            margin_mass = (np.vdot(lo, lo).real + np.vdot(hi, hi).real) * dV
+            margin_mass = (vdot(lo, lo).real + vdot(hi, hi).real) * dV
         else:
             margin_mass = _band_mass(margin, dV)
         # each monitor keeps its peak in a local and aborts only when a peak

@@ -280,6 +280,15 @@ class TestWepCommand:
         assert "SpectralEdgeContact: mass=200: " in capsys.readouterr().err
         assert not out.exists()
 
+    def test_abort_names_the_mass_in_full(self, tmp_path, capsys):
+        # :g writes 200.000001 as 200; the failing member's label does not
+        doc = base_doc(masses=[200.000001, 200.0],
+                       evolve={"dt": 0.1, "steps": 1570, "record_every": 10,
+                               "spectral_mass_tol": 1e-10})
+        out = tmp_path / "wep.json"
+        assert main(["wep", "--config", write(tmp_path, doc), "--out", str(out)]) == 3
+        assert "SpectralEdgeContact: mass=200.000001: " in capsys.readouterr().err
+
     def test_wrapped_member_fails_exit_1(self, tmp_path):
         # unarmed, mu=200 wraps round the N=256 Nyquist edge and its mean
         # strays from mu=50's by 0.32 against a threshold of 2e-8
@@ -336,6 +345,15 @@ class TestWepCommand:
         report = json.loads(out.read_text())["report"]
         assert report["kind"] == "shape"
         assert report["labels"] == ["gaussian", "skewed_gaussian"]
+
+    def test_shape_labels_of_one_kind_are_indexed(self, tmp_path):
+        doc = base_doc(shapes=[{"shape": "gaussian", "params": [1.0]},
+                               {"shape": "gaussian", "params": [0.7]}],
+                       evolve={"dt": 0.1, "steps": 20, "record_every": 10})
+        out = tmp_path / "wep.json"
+        assert main(["wep", "--config", write(tmp_path, doc), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())["report"]
+        assert report["labels"] == ["shape[0]=gaussian", "shape[1]=gaussian"]
 
 
 class TestRippleCommand:

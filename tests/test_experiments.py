@@ -86,7 +86,8 @@ class TestWepSweeps:
         assert np.array_equal(report.deviations, report.deviations.T)
         assert np.all(report.deviations == 0.0)
         assert np.all(np.diag(report.deviations) == 0.0)
-        assert report.labels == ("mass=100", "mass=100")
+        # equal masses are told apart by their index
+        assert report.labels == ("mass[0]=100", "mass[1]=100")
 
     def test_mass_sweep_short_run(self):
         scenario = std_scenario(n_steps=300, record_every=10, masses=(50.0, 100.0, 200.0))
@@ -111,7 +112,21 @@ class TestWepSweeps:
                                 shapes=(PacketShape.gaussian(1.0), PacketShape.gaussian(1.0)))
         report = wep_shape_sweep(scenario)
         assert report.passed and np.all(report.deviations == 0.0)
-        assert report.labels == ("gaussian", "gaussian")
+        assert report.labels == ("shape[0]=gaussian", "shape[1]=gaussian")
+
+    def test_mass_labels_are_distinct(self):
+        # :g writes both masses as 100, so the one it does not read back as
+        # is written in full
+        scenario = std_scenario(n_steps=20, record_every=10, masses=(100.0, 100.000001))
+        assert wep_mass_sweep(scenario).labels == ("mass=100", "mass=100.000001")
+
+    def test_shape_labels_are_distinct(self):
+        # two Gaussians of different widths share a kind: both take their index
+        scenario = std_scenario(n_steps=20, record_every=10, shapes=(
+            PacketShape.gaussian(1.0), PacketShape.skewed_gaussian(1.0, skew=1.0),
+            PacketShape.gaussian(0.7)))
+        assert wep_shape_sweep(scenario).labels == (
+            "shape[0]=gaussian", "shape[1]=skewed_gaussian", "shape[2]=gaussian")
 
     def test_shape_sweep_short_run(self):
         scenario = std_scenario(n_steps=300, record_every=10, shapes=(

@@ -510,6 +510,25 @@ class TestLeanLoop:
             for key, peak in peaks.items():
                 assert got.diagnostics[key] == peak
 
+    # README's rows per stack under the default budget: a field of N=96^2
+    # is above 64^2, so its budget holds one field and records the view
+    @pytest.mark.parametrize("dim,n,rows", [(1, 256, 32), (1, 512, 16), (1, 768, 10),
+                                            (2, 64, 2), (2, 96, 1)])
+    def test_default_budget_rows_per_stack(self, dim, n, rows, monkeypatch):
+        stacks = []
+
+        def spy(grid, psi, mass, work=None):
+            stacks.append(psi.shape[0])
+            return moments(grid, psi, mass, work)
+
+        monkeypatch.setattr(propagate, "moments", spy)
+        grid = SpectralGrid(dim=dim, n=n, extent=20.0)
+        wf = make_packet(grid, PacketShape.gaussian(1.0), [1.5, -1.0][:dim], [0.0] * dim, 50.0)
+        # rows 0 to 2 * rows: two full stacks, then the last row alone
+        evolve(wf, TidalMatrix(LEAN_TIDAL[dim]), StepScheme.STRANG,
+               EvolveConfig(dt=STD_DT, n_steps=2 * rows))
+        assert stacks == [rows, rows, 1]
+
     # the position margin bands evolve watches at two margin fractions, and
     # the spectral edge band: two edge runs per axis, or one run around N/2
     @pytest.mark.parametrize("space,fraction", [
