@@ -184,10 +184,22 @@ def _band_slabs(grid: SpectralGrid, axis_values: np.ndarray,
 
 
 def _band_mass(parts: list[np.ndarray], dV: float) -> float:
-    """sum |values|^2 dV over slab views of one field, slab by slab."""
+    """sum |values|^2 dV over slab views of one field, slab by slab.
+
+    A 1D slab is summed by ``vdot``.  A 2D/3D slab is copied C-contiguous
+    and summed as real and imaginary parts, squared, by ``einsum``, which
+    calls no BLAS: OpenBLAS's complex dot runs slabs of more than about
+    4,000 cells on a second thread, which then spins on the CPU that
+    ``transform``'s split pass needs.  The copy makes the sum's order, and
+    so its bits, the same whatever the slab's memory layout.
+    """
     total = 0.0
     for part in parts:
-        total += vdot(part, part).real
+        if part.ndim == 1:
+            total += vdot(part, part).real
+        else:
+            r = np.ascontiguousarray(part).view(float).reshape(-1)
+            total += np.einsum("i,i->", r, r)
     return float(total) * dV
 
 
@@ -354,7 +366,7 @@ def evolve(wf: WaveFunction, tidal: TidalMatrix, scheme: StepScheme,
     # inline, left then right as _band_mass does, to the same bits (a band
     # narrower than a cell at the right end has no right run: an empty view,
     # whose 0.0 adds exactly); 2D/3D steps go through transform and _band_mass.
-    # The multiplies pass their output positionally and the sums call the
+    # The multiplies pass their output positionally and the 1D sums call the
     # C-level vdot, which skips numpy's keyword parsing and array-function
     # dispatch (about 0.46 us of a 1.26 us multiply and 0.33 us of a 1.25 us
     # vdot at N=512).  With the 128 KiB record stacks this cut perfbench's

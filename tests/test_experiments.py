@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
 from pathlib import Path
 
@@ -183,6 +187,28 @@ class TestSerialSweep:
             for attr in ("t", "norm", "mean_x", "mean_v", "cov"):
                 assert np.array_equal(getattr(member, attr), getattr(alone, attr))
             assert np.array_equal(member.final_state.psi, alone.final_state.psi)
+
+    def test_1d_runs_start_no_thread(self, tmp_path):
+        # 1D fields and 1D record stacks stay under spectral.SPLIT_CELLS, so
+        # a 1D run and the shipped mass sweep never start the transform's
+        # worker thread, nor import a thread pool
+        root = Path(__file__).resolve().parent.parent
+        code = textwrap.dedent("""
+            import sys, threading
+            from wavefall import spectral
+            from wavefall.cli import main
+            configs, out = sys.argv[1:]
+            for command, name in (("run", "standard_1d"), ("wep", "wep_mass_1d")):
+                assert main([command, "--config", f"{configs}/{name}.json", "--out", out]) == 0
+            print(threading.active_count(), "concurrent.futures" in sys.modules,
+                  spectral._jobs is None)
+            """)
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(root / "configs"), str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": str(root / "src")})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["1", "False", "True"]
 
     def test_first_failing_member_stops_the_sweep(self, monkeypatch):
         # mu=100 wraps at step 761 and mu=200 would wrap at step 352, but

@@ -10,6 +10,7 @@ from helpers import (
     STD_MASS,
     kinetic_step,
     npfft_centroid,
+    random_field,
     std_grid,
     std_packet,
     std_tidal,
@@ -38,8 +39,10 @@ from wavefall import propagate
 from wavefall.packets import covariance, moments
 from wavefall.propagate import (
     SPECTRAL_EDGE_FRACTION,
+    _band_mass,
     _band_slabs,
     _kinetic_factor,
+    _padded,
     _tidal_phase_field,
 )
 from wavefall.spectral import SpectralGrid
@@ -330,9 +333,15 @@ def reference_evolve(wf, tidal, scheme, cfg):
     edge = _band_slabs(grid, grid.axis_wavenumbers, (1.0 - SPECTRAL_EDGE_FRACTION) * grid.k_max)
 
     def band_mass(field, slabs):
+        # 1D slabs by vdot; 2D/3D slabs as the squared real and imaginary
+        # parts of a contiguous copy, summed by einsum (no BLAS), as evolve does
         total = 0.0
         for slab in slabs:
-            total += np.vdot(field[slab], field[slab]).real
+            if grid.dim == 1:
+                total += np.vdot(field[slab], field[slab]).real
+            else:
+                r = np.ascontiguousarray(field[slab]).view(float).reshape(-1)
+                total += np.einsum("i,i->", r, r)
         return float(total) * grid.cell_volume
 
     psi, rows, margins, edges, stop = wf.psi, [], [], [], None
@@ -580,6 +589,23 @@ class TestPaddedLayout:
         for observable in (norm, mean_position, mean_velocity_spectral, covariance):
             got, want = np.asarray(observable(state)), np.asarray(observable(dense))
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    # evolve's monitors sum slabs of its padded state; a 2D/3D slab is summed
+    # from a contiguous copy without BLAS, so the padding moves no bit, and
+    # the sum is vdot's up to rounding
+    @pytest.mark.parametrize("dim,n", [(1, LEAN_N[1]), (2, LEAN_N[2]), (3, LEAN_N[3]), (3, 64)])
+    def test_band_mass_of_padded_slabs_equals_contiguous_to_the_bit(self, dim, n, rng):
+        grid = SpectralGrid(dim=dim, n=n, extent=20.0)
+        view = _padded(grid)[1]
+        view[...] = random_field(grid, rng, normalized=False)
+        dense = np.ascontiguousarray(view)
+        for values, cut in ((grid.axis_positions, 0.4 * grid.extent),
+                            (grid.axis_wavenumbers, (1.0 - SPECTRAL_EDGE_FRACTION) * grid.k_max)):
+            slabs = _band_slabs(grid, values, cut)
+            got = _band_mass([view[slab] for slab in slabs], grid.cell_volume)
+            assert got == _band_mass([dense[slab] for slab in slabs], grid.cell_volume)
+            want = sum(np.vdot(view[slab], view[slab]).real for slab in slabs)
+            assert got == pytest.approx(want * grid.cell_volume, rel=1e-13, abs=0.0)
 
 
 class TestBufferOwnership:

@@ -1,10 +1,16 @@
+import os
+import signal
+import threading
+import time
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import LEAN_N, brute_dft, random_field
-from wavefall import SizeMismatch, SpectralGrid
+from wavefall import SizeMismatch, SpectralGrid, spectral
 from wavefall.spectral import transform
 
 
@@ -163,3 +169,96 @@ class TestTransformUfuncs:
         assert stack.tobytes() == kept.tobytes()
         assert transform(stack, stack, inverse=inverse, dim=dim) is stack
         assert np.array_equal(stack, out)
+
+
+class TestSplitPasses:
+    # a field of SPLIT_CELLS cells or more runs each axis pass as two ufunc
+    # calls, one on a worker thread; every line keeps its bits.  _cpus is
+    # patched to 2 so the split runs whatever CPUs this process may use
+
+    @pytest.fixture
+    def splits(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_cpus", lambda: 2)
+        calls = []
+        split_pass = spectral._split_pass
+        monkeypatch.setattr(spectral, "_split_pass",
+                            lambda *a: calls.append(a[-2]) or split_pass(*a))
+        return calls
+
+    # a 2D n=190 field (halves of 95 lines), a stack of two 32^3 fields,
+    # and a 2D field of 180^2 = 32,400 cells, just under SPLIT_CELLS
+    @pytest.mark.parametrize("inverse", [False, True])
+    @pytest.mark.parametrize("shape,dim,split", [((190, 190), 2, True), ((2, 32, 32, 32), 3, True),
+                                                 ((180, 180), 2, False)])
+    def test_equals_numpy_fftn_to_the_bit(self, shape, dim, split, inverse, rng, splits):
+        assert (np.prod(shape) >= spectral.SPLIT_CELLS) == split
+        f = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        axes = tuple(range(len(shape) - dim, len(shape)))
+        want = (np.fft.ifftn if inverse else np.fft.fftn)(f, axes=axes, norm="ortho")
+        kept = f.copy()
+        assert np.array_equal(transform(f, inverse=inverse, dim=dim), want)
+        assert f.tobytes() == kept.tobytes()
+        assert transform(f, f, inverse=inverse, dim=dim) is f
+        assert np.array_equal(f, want)
+        # each of the two calls splits every pass, last axis first
+        assert splits == (list(axes[::-1]) * 2 if split else [])
+
+    @pytest.mark.parametrize("raising", ["worker", "caller"])
+    def test_error_reaches_caller_and_worker_stays_usable(self, raising, rng, splits,
+                                                         monkeypatch):
+        ifft_ufunc = spectral.ifft_ufunc
+
+        def fails(*args, **kwargs):
+            on_worker = threading.current_thread() is not threading.main_thread()
+            if on_worker == (raising == "worker"):
+                raise RuntimeError(f"{raising} half")
+            if on_worker:
+                time.sleep(0.1)  # the caller fails first, and must still wait
+            return ifft_ufunc(*args, **kwargs)
+
+        f = rng.standard_normal((190, 190)) + 0j
+        out = np.zeros_like(f)
+        monkeypatch.setattr(spectral, "ifft_ufunc", fails)
+        with pytest.raises(RuntimeError, match=f"{raising} half"):
+            transform(f, out, inverse=True)
+        # the error is raised only once the worker no longer writes into out
+        written = out.copy()
+        time.sleep(0.2)
+        assert np.array_equal(out, written)
+        monkeypatch.undo()
+        monkeypatch.setattr(spectral, "_cpus", lambda: 2)
+        assert np.array_equal(transform(f), np.fft.fftn(f, norm="ortho"))
+
+    def test_idle_worker_holds_no_array_and_is_a_daemon(self, rng, splits):
+        f = rng.standard_normal((190, 190)) + 0j
+        out = transform(f)
+        gone = weakref.ref(out)
+        del out
+        assert gone() is None
+        workers = [t for t in threading.enumerate() if t.name == "wavefall-transform"]
+        assert len(workers) == 1 and workers[0].daemon
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    # Python 3.12+ warns about forking a process that has threads: this one
+    # has the worker, and the test is about exactly that
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_forked_child_starts_its_own_worker(self, rng, splits):
+        # the parent's worker runs before the fork; the child has no copy of
+        # its thread, so a split there must start a new one, not wait forever
+        f = rng.standard_normal((190, 190)) + 0j
+        want = np.fft.fftn(f, norm="ortho")
+        assert np.array_equal(transform(f), want)
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = 0 if np.array_equal(transform(f), want) else 1
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 30.0
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if done[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
