@@ -206,11 +206,14 @@ class ScenarioConfig:
         for shape in (self.shape, *(self.shapes or ())):
             if shape.kind == "custom_table":
                 _load_table(shape.table_path)
-        dts = [self.evolve_cfg.dt] + [float(d) for d in (self.dt_list or ())]
-        for dt in dts:
-            for mass in (self.mass,) + tuple(self.masses or ()):
-                check_kinetic_phase(self.grid, mass, dt)
-                check_tidal_factor(self.grid, self.tidal, mass, dt)
+        # the (mass, dt) pairs a command runs: the packet at the evolve dt and
+        # at each dt_list entry, and each swept mass at the evolve dt
+        dt = self.evolve_cfg.dt
+        pairs = [(self.mass, d) for d in (dt, *(self.dt_list or ()))]
+        pairs += [(m, dt) for m in (self.masses or ())]
+        for mass, step in pairs:
+            check_kinetic_phase(self.grid, mass, step)
+            check_tidal_factor(self.grid, self.tidal, mass, step)
 
     # --- builders ---------------------------------------------------------
 

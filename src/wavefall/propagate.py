@@ -24,14 +24,14 @@ mass enters the spectral edge band.
 from __future__ import annotations
 
 import itertools
-import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 # numpy's C-level vdot, which np.vdot reaches through its __array_function__
-# dispatcher; bound here, like spectral's transform ufuncs, so that the step
-# loop skips the dispatch and a numpy that moves it fails at import
+# dispatcher; bound here so that the 1D band sums skip the dispatch and a
+# numpy that moves it fails at import
 from numpy._core._multiarray_umath import vdot
 
 from .curvature import TidalMatrix, validate_tidal
@@ -43,7 +43,7 @@ from .errors import (
     TooFewRecords,
 )
 from .packets import WaveFunction, moments
-from .spectral import SpectralGrid, fft_ufunc, ifft_ufunc, transform
+from .spectral import SpectralGrid, in_place
 
 # the spectral monitor watches |k_i| >= (1 - SPECTRAL_EDGE_FRACTION) k_max
 SPECTRAL_EDGE_FRACTION = 0.1
@@ -183,24 +183,31 @@ def _band_slabs(grid: SpectralGrid, axis_values: np.ndarray,
     return slabs
 
 
-def _band_mass(parts: list[np.ndarray], dV: float) -> float:
-    """sum |values|^2 dV over slab views of one field, slab by slab.
+def _band_sum(parts: list[np.ndarray], dV: float) -> Callable[[], float]:
+    """An argument-free sum |values|^2 dV over ``parts``, slab views of one
+    field, slab by slab: the one rule every margin and edge mass is summed by.
 
-    A 1D slab is summed by ``vdot``.  A 2D/3D slab is copied C-contiguous
-    and summed as real and imaginary parts, squared, by ``einsum``, which
-    calls no BLAS: OpenBLAS's complex dot runs slabs of more than about
-    4,000 cells on a second thread, which then spins on the CPU that
+    In 1D a band is one or two runs.  Their two sums call ``vdot``, left run
+    then right; an empty view stands in for a missing second run (a margin
+    narrower than a cell at the right end, or the spectral edge around N/2),
+    and its 0.0 adds exactly.  A 2D/3D slab is copied C-contiguous and
+    summed as real and imaginary parts, squared, by ``einsum``, which calls
+    no BLAS: OpenBLAS's complex dot runs slabs of more than about 4,000
+    cells on a second thread, which then spins on the CPU that
     ``transform``'s split pass needs.  The copy makes the sum's order, and
     so its bits, the same whatever the slab's memory layout.
     """
-    total = 0.0
-    for part in parts:
-        if part.ndim == 1:
-            total += vdot(part, part).real
-        else:
+    if parts[0].ndim == 1:
+        lo, hi = (parts + [parts[0][:0]])[:2]
+        return lambda: (vdot(lo, lo).real + vdot(hi, hi).real) * dV
+
+    def total() -> float:
+        s = 0.0
+        for part in parts:
             r = np.ascontiguousarray(part).view(float).reshape(-1)
-            total += np.einsum("i,i->", r, r)
-    return float(total) * dV
+            s += np.einsum("i,i->", r, r)
+        return float(s) * dV
+    return total
 
 
 def _padded(grid: SpectralGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -280,11 +287,10 @@ def evolve(wf: WaveFunction, tidal: TidalMatrix, scheme: StepScheme,
     _kinetic_factor(grid, dt / (4.0 * np.pi * mass), kin_inner)
     # strang: half kick, drift, half kick; lie: drift, full kick
     strang = scheme is StepScheme.STRANG
-    tid_last, tid_inner = _padded(grid)
+    tid, tid_inner = _padded(grid)
     np.multiply(1j, _tidal_phase_field(grid, tidal, mass, dt / 2.0 if strang else dt),
                 out=tid_inner)
     np.exp(tid_inner, out=tid_inner)
-    tid_first = tid_last if strang else None
     dV = grid.cell_volume
 
     # one row per record, allocated once; an abort keeps the rows taken so far
@@ -312,14 +318,18 @@ def evolve(wf: WaveFunction, tidal: TidalMatrix, scheme: StepScheme,
     else:
         snaps = np.empty((depth,) + grid.shape, dtype=state.dtype)
         snaps_work = np.empty_like(snaps)
-    margin = [state[slab] for slab in _band_slabs(
+    # index-referenced transforms: the centre signs of grid.forward and
+    # grid.inverse cancel around the diagonal kinetic factor (S^2 = 1), and
+    # a +-1 multiply is exact, so the state is theirs to the bit
+    forward, inverse = in_place(state)
+    margin = _band_sum([state[slab] for slab in _band_slabs(
         grid, grid.axis_positions,
-        grid.extent / 2.0 - cfg.boundary_margin_fraction * grid.extent)]
+        grid.extent / 2.0 - cfg.boundary_margin_fraction * grid.extent)], dV)
     margin_tol, edge_tol = cfg.boundary_mass_tol, cfg.spectral_mass_tol
-    edge = []
+    edge = None
     if edge_tol is not None:
-        edge = [state[slab] for slab in _band_slabs(
-            grid, grid.axis_wavenumbers, (1.0 - SPECTRAL_EDGE_FRACTION) * grid.k_max)]
+        edge = _band_sum([state[slab] for slab in _band_slabs(
+            grid, grid.axis_wavenumbers, (1.0 - SPECTRAL_EDGE_FRACTION) * grid.k_max)], dV)
 
     def take(stop: int) -> None:
         """Moments of the pending snapshots, rows up to ``stop``, in one call."""
@@ -356,52 +366,27 @@ def evolve(wf: WaveFunction, tidal: TidalMatrix, scheme: StepScheme,
         raise kind(step, text, partial=series(taken, step, peak_margin, peak_edge))
 
     record(0)
-    peak_margin = _band_mass(margin, dV)
-    peak_edge = None if edge_tol is None else 0.0
+    peak_margin = margin()
+    peak_edge = None if edge is None else 0.0
     if peak_margin > margin_tol:
         abort(BoundaryContact, f"margin mass {peak_margin:.3e} exceeds {margin_tol:.1e}",
               0, peak_margin, peak_edge)
 
-    # 1D steps call the transform ufuncs and sum the margin's two end runs
-    # inline, left then right as _band_mass does, to the same bits (a band
-    # narrower than a cell at the right end has no right run: an empty view,
-    # whose 0.0 adds exactly); 2D/3D steps go through transform and _band_mass.
-    # The multiplies pass their output positionally and the 1D sums call the
-    # C-level vdot, which skips numpy's keyword parsing and array-function
-    # dispatch (about 0.46 us of a 1.26 us multiply and 0.33 us of a 1.25 us
-    # vdot at N=512).  With the 128 KiB record stacks this cut perfbench's
-    # run_1d wall_s (a CLI run of standard_1d_hires, N=512, 1570 steps;
-    # 2-CPU x86-64, numpy 2.4) from a median 0.0463 to 0.0448 s, lower in
-    # 12 of 12 alternating parent/change pairs
-    flat = grid.dim == 1
-    scale = 1.0 / math.sqrt(grid.n)
-    lo, hi = (margin + [state[:0]])[:2]
-    # every product keeps its operand order: numpy's complex multiply is not
-    # bitwise commutative, and outputs are promised byte for byte
+    # every product keeps its operand order (numpy's complex multiply is not
+    # bitwise commutative, and outputs are promised byte for byte) and passes
+    # its output positionally, which skips numpy's keyword parsing
     for step in range(1, cfg.n_steps + 1):
-        if tid_first is not None:
-            np.multiply(tid_first, whole, whole)
-        # index-referenced transforms: the centre signs of grid.forward and
-        # grid.inverse cancel around the diagonal kinetic factor (S^2 = 1),
-        # and a +-1 multiply is exact, so the state is theirs to the bit
-        if flat:
-            fft_ufunc(state, scale, out=state)
-        else:
-            transform(state, state)
+        if strang:
+            np.multiply(tid, whole, whole)
+        forward()
         # the state holds the spectrum here; the kinetic factor is a pure
         # phase, so the edge band mass is the same on either side of it
         if edge:
-            edge_mass = _band_mass(edge, dV)
+            edge_mass = edge()
         np.multiply(kin, whole, whole)
-        if flat:
-            ifft_ufunc(state, scale, out=state)
-        else:
-            transform(state, state, inverse=True)
-        np.multiply(tid_last, whole, whole)
-        if flat:
-            margin_mass = (vdot(lo, lo).real + vdot(hi, hi).real) * dV
-        else:
-            margin_mass = _band_mass(margin, dV)
+        inverse()
+        np.multiply(tid, whole, whole)
+        margin_mass = margin()
         # each monitor keeps its peak in a local and aborts only when a peak
         # passes its tolerance: a mass past it is past every earlier one
         if margin_mass > peak_margin:

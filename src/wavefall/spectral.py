@@ -12,15 +12,15 @@ Both directions carry N^(-d/2); discrete Parseval sum|f|^2 == sum|A|^2 holds
 exactly up to rounding.  Complex fields are plain complex128 ndarrays of
 shape ``grid.shape`` (row-major); there is no wrapper type.
 
-``transform`` is the index-referenced unitary FFT the 2D/3D step loop, the
+``transform`` is the index-referenced unitary FFT the step loop, the
 moment records and ``SpectralGrid.forward``/``inverse`` run on: numpy's
 transform ufuncs called directly, without the per-call argument handling
 of ``numpy.fft``'s Python functions.  It transforms the trailing axes of
 its input, so the records take one call for a whole stack of snapshots,
-and it may transform a field in place.  The 1D step loop calls the two
-ufuncs, exported here as ``fft_ufunc`` and ``ifft_ufunc``, itself, with
-the scale ``1/sqrt(n)``: the bits of ``transform`` without its Python
-frame.
+and it may transform a field in place.  ``in_place`` binds the in-place
+pair for one field once; for a 1D field it binds the two ufuncs and the
+scale ``1/sqrt(n)`` themselves, the bits of ``transform`` without its
+Python frame.
 
 On a field of at least ``SPLIT_CELLS`` cells, when the process may run on
 two CPUs, ``transform`` runs each axis pass as two ufunc calls, one per
@@ -36,7 +36,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 # private module (numpy >= 2.0) under numpy.fft; imported here so that a numpy
@@ -55,29 +55,19 @@ ifft_ufunc = _pocketfft_umath.ifft
 # 188 us serial and 197 us split, a 32^3 one 783 and 524 us); a 1D record
 # stack holds at most 8,192 cells
 SPLIT_CELLS = 2 ** 15
-# job queue of the split's worker thread; None until the first split
-_jobs = None
+# the split's worker thread and its job queue; None until the first split
+_worker = _jobs = None
 
 
-def _forget_worker() -> None:
-    # a forked child has no copy of the worker thread: its first split
-    # starts its own
-    global _jobs
-    _jobs = None
-
-
-os.register_at_fork(after_in_child=_forget_worker)
-
-
-def _run(ufunc, args, kwargs, errors, done) -> None:
-    """One job: call ``ufunc``, append what it raises to ``errors`` and
-    release ``done``."""
+def _run(ufunc, args, kwargs, done) -> None:
+    """One job: call ``ufunc`` and put what it raised, or None, on ``done``."""
+    error = None
     try:
         ufunc(*args, **kwargs)
     except Exception as exc:  # raised again by the caller
-        errors.append(exc)
+        error = exc
     finally:
-        done.release()
+        done.put(error)
 
 
 def _serve(jobs) -> None:
@@ -85,18 +75,6 @@ def _serve(jobs) -> None:
     # caller's buffer alive
     while True:
         _run(*jobs.get())
-
-
-def _worker():
-    """The worker's job queue.  The first call starts the worker as a daemon
-    thread, so it never keeps the interpreter from exiting."""
-    global _jobs
-    if _jobs is None:
-        from queue import SimpleQueue
-        _jobs = SimpleQueue()
-        threading.Thread(target=_serve, args=(_jobs,), name="wavefall-transform",
-                         daemon=True).start()
-    return _jobs
 
 
 def _cpus() -> int:
@@ -113,21 +91,34 @@ def _split_pass(ufunc, field: np.ndarray, scale: float, ax: int,
     over the halves of the longest other axis (the outermost on a tie), the
     second half on the worker and the first on the caller.  Returns when
     both halves are written; an error of either call is raised here, the
-    caller's first."""
+    caller's first.
+
+    The first split starts the worker as a daemon thread, so it never keeps
+    the interpreter from exiting.  A forked child has no copy of that
+    thread, which reads there as not alive, so its first split starts its
+    own."""
+    global _worker, _jobs
     other = max((a for a in range(field.ndim) if a != ax), key=lambda a: field.shape[a])
     h = field.shape[other] // 2
     lo = (slice(None),) * other + (slice(0, h),)
     hi = (slice(None),) * other + (slice(h, None),)
     axes = [(ax,), (), (ax,)]
-    errors, done = [], threading.Lock()
-    done.acquire()
-    _worker().put((ufunc, (field[hi], scale), {"axes": axes, "out": out[hi]}, errors, done))
+    # imported here, so that a process that never splits (every 1D run)
+    # does not load it
+    from queue import SimpleQueue
+    if _worker is None or not _worker.is_alive():
+        _jobs = SimpleQueue()
+        _worker = threading.Thread(target=_serve, args=(_jobs,), name="wavefall-transform",
+                                   daemon=True)
+        _worker.start()
+    done = SimpleQueue()
+    _jobs.put((ufunc, (field[hi], scale), {"axes": axes, "out": out[hi]}, done))
     try:
         ufunc(field[lo], scale, axes=axes, out=out[lo])
     finally:
-        done.acquire()
-    if errors:
-        raise errors[0]
+        error = done.get()
+    if error is not None:
+        raise error
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,3 +261,16 @@ def transform(field: np.ndarray, out: np.ndarray | None = None,
             ufunc(field, scale, axes=[(ax,), (), (ax,)], out=out)
         field = out
     return out
+
+
+def in_place(field: np.ndarray) -> tuple[partial, partial]:
+    """Argument-free calls that transform ``field`` in place, forward and
+    inverse: ``transform(field, field)`` and ``transform(field, field,
+    inverse=True)`` to the bit.  For a 1D field they are the ufuncs bound
+    to the field, the scale and the output, passed positionally, so a call
+    pays no Python frame."""
+    if field.ndim == 1:
+        scale = 1.0 / math.sqrt(field.shape[0])
+        return (partial(fft_ufunc, field, scale, field),
+                partial(ifft_ufunc, field, scale, field))
+    return partial(transform, field, field), partial(transform, field, field, True)

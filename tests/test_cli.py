@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wavefall import (BoundaryContact, ConfigError, ScenarioConfig, evolve, exact_flow,
-                      load_scenario)
+from wavefall import (BoundaryContact, ConfigError, ScenarioConfig, StepTooLarge, evolve,
+                      exact_flow, load_scenario)
 from wavefall.cli import main
 
 
@@ -435,6 +435,40 @@ class TestConvergeCommand:
         main(["converge", "--config", cfg, "--out", str(out_a)])
         main(["converge", "--config", cfg, "--out", str(out_b)])
         assert out_a.read_bytes() == out_b.read_bytes()
+
+
+class TestStepGuardsAtLoad:
+    # a config is checked at the (mass, dt) pairs its commands run: the
+    # packet mass at the evolve dt and at each dt_list entry, and each swept
+    # mass at the evolve dt.  At N=512 the kinetic phase per step is
+    # 514.7 dt / mass, pi at dt=0.4 for mass 65.5
+    def base(self):
+        configs = Path(__file__).resolve().parent.parent / "configs"
+        return json.loads((configs / "converge_strang_1d.json").read_text())
+
+    def test_swept_mass_is_not_checked_at_dt_list(self, tmp_path):
+        # converge runs only the packet mass; (50, 0.4) is no pair it runs
+        doc = self.base()
+        doc["masses"] = [50, 100]
+        out = tmp_path / "conv.json"
+        assert main(["converge", "--config", write(tmp_path, doc), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["report"]["pass"] is True
+
+    @pytest.mark.parametrize("command,key,value,phase", [
+        ("wep", "masses", [10, 100], "5.147"),  # mass 10 at the evolve dt 0.1
+        ("converge", "dt_list", [0.8, 0.4, 0.2], "4.118")])  # the packet's mass 100 at 0.8
+    def test_pair_a_command_runs_fails_at_load(self, tmp_path, capsys, command, key, value,
+                                               phase):
+        doc = self.base()
+        doc[key] = value
+        config, out = write(tmp_path, doc), tmp_path / "out.json"
+        with pytest.raises(StepTooLarge):
+            load_scenario(config)
+        assert main([command, "--config", config, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"StepTooLarge: kinetic phase per step {phase} >= pi; "
+            "reduce dt or raise mass/resolution\n")
+        assert not out.exists()
 
 
 class TestShippedConfigs:

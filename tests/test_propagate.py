@@ -39,8 +39,8 @@ from wavefall import propagate
 from wavefall.packets import covariance, moments
 from wavefall.propagate import (
     SPECTRAL_EDGE_FRACTION,
-    _band_mass,
     _band_slabs,
+    _band_sum,
     _kinetic_factor,
     _padded,
     _tidal_phase_field,
@@ -602,8 +602,8 @@ class TestPaddedLayout:
         for values, cut in ((grid.axis_positions, 0.4 * grid.extent),
                             (grid.axis_wavenumbers, (1.0 - SPECTRAL_EDGE_FRACTION) * grid.k_max)):
             slabs = _band_slabs(grid, values, cut)
-            got = _band_mass([view[slab] for slab in slabs], grid.cell_volume)
-            assert got == _band_mass([dense[slab] for slab in slabs], grid.cell_volume)
+            got = _band_sum([view[slab] for slab in slabs], grid.cell_volume)()
+            assert got == _band_sum([dense[slab] for slab in slabs], grid.cell_volume)()
             want = sum(np.vdot(view[slab], view[slab]).real for slab in slabs)
             assert got == pytest.approx(want * grid.cell_volume, rel=1e-13, abs=0.0)
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from helpers import LEAN_N, brute_dft, random_field
 from wavefall import SizeMismatch, SpectralGrid, spectral
-from wavefall.spectral import transform
+from wavefall.spectral import in_place, transform
 
 
 class TestLattice:
@@ -147,8 +147,13 @@ class TestTransformUfuncs:
         assert np.array_equal(out, want)
         assert np.array_equal(transform(f, inverse=inverse), want)
         assert f.tobytes() == kept.tobytes()
-        # the step loop transforms its one state buffer in place
+        # the step loop transforms its one state buffer in place, through
+        # the bound pair
         assert transform(f, f, inverse=inverse) is f
+        assert np.array_equal(f, want)
+        f[...] = kept
+        forward, back = in_place(f)
+        (back if inverse else forward)()
         assert np.array_equal(f, want)
 
     # the records transform a stack of snapshots in one call over its
