@@ -14,7 +14,10 @@ the Nyquist edge when ``evolve.spectral_mass_tol`` is set; ``run`` flushes
 the partial CSV with a trailing ``# aborted: <error class>: ...`` line).
 ``main`` writes every report the same way; each report carries its own
 pass rule (``experiments``).  Every output goes through ``_write`` and
-embeds the fully resolved config for reproducibility.
+embeds the fully resolved config for reproducibility.  Each command loads
+its config with only the optional blocks it reads (``wep`` ``masses`` and
+``shapes``, ``converge`` ``dt_list`` and ``order_band``, ``run`` and
+``ripple`` none), so a block it does not run is neither checked nor echoed.
 """
 
 from __future__ import annotations
@@ -125,7 +128,7 @@ _PARSER = _build_parser()
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        scenario = load_scenario(args.config)
+        scenario = load_scenario(args.config, args.command)
         _check_out(args.out)
         if args.command == "run":
             return cmd_run(scenario, args.out)

@@ -2,9 +2,12 @@
 
 A scenario bundles a grid, a tidal matrix, a packet definition and the run
 settings; sweep-style experiments add ``masses``, ``shapes`` or ``dt_list``
-blocks.  Loading re-validates every module precondition and reads every
-amplitude table, so a bad document fails before any packet is built; every
-number must be finite, and unknown keys are rejected everywhere.
+blocks.  Loading for a command keeps only the blocks that command reads
+(``_COMMAND_BLOCKS``): every block is parsed for form, and the others are
+then dropped.  Loading re-validates every module precondition and reads
+every amplitude table of what is kept, so a bad document fails before any
+packet is built; every number must be finite, and unknown keys are
+rejected everywhere.
 ``resolved()`` returns the full document with defaults materialized (the
 opt-in ``evolve.spectral_mass_tol`` appears only when set); every CSV/JSON
 the CLI writes embeds it.
@@ -30,6 +33,9 @@ _GRID_KEYS = {"dim", "n", "extent"}
 _PACKET_KEYS = {"shape", "params", "x0", "v0", "mass", "table"}
 _SHAPE_KEYS = {"shape", "params", "table"}
 _CURV_KEYS = {"tidal", "vacuum"}
+# the optional blocks each CLI command reads
+_COMMAND_BLOCKS = {"run": (), "ripple": (), "wep": ("masses", "shapes"),
+                  "converge": ("dt_list", "order_band")}
 
 
 def _block(doc: dict, name: str, allowed: set, required: tuple) -> dict:
@@ -113,7 +119,9 @@ class ScenarioConfig:
     order_band: tuple[float, float] | None = None
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "ScenarioConfig":
+    def from_dict(cls, doc: dict, command: str | None = None) -> "ScenarioConfig":
+        """The validated scenario of ``doc``; for a ``command``, with only
+        the optional blocks it reads, and with all of them for none."""
         if not isinstance(doc, dict):
             raise ConfigError("config document must be a JSON object")
         unknown = sorted(set(doc) - _TOP_KEYS)
@@ -189,9 +197,13 @@ class ScenarioConfig:
             if order_band[0] > order_band[1]:
                 raise ConfigError(f"order_band must be [low, high] with low <= high, got {band}")
 
+        blocks = {"masses": masses, "shapes": shapes, "dt_list": dt_list,
+                  "order_band": order_band}
+        if command is not None:
+            blocks = {name: block if name in _COMMAND_BLOCKS[command] else None
+                      for name, block in blocks.items()}
         cfg = cls(grid=grid, tidal=tidal, shape=shape, x0=x0, v0=v0, mass=mass,
-                  evolve_cfg=evolve_cfg, scheme=scheme, masses=masses, shapes=shapes,
-                  dt_list=dt_list, order_band=order_band)
+                  evolve_cfg=evolve_cfg, scheme=scheme, **blocks)
         cfg.validate()
         return cfg
 
@@ -260,8 +272,9 @@ class ScenarioConfig:
         return doc
 
 
-def load_scenario(path) -> ScenarioConfig:
-    """Read and validate a scenario file; every read failure is a ConfigError."""
+def load_scenario(path, command: str | None = None) -> ScenarioConfig:
+    """Read and validate a scenario file, for ``command`` as in
+    ``ScenarioConfig.from_dict``; every read failure is a ConfigError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -274,4 +287,4 @@ def load_scenario(path) -> ScenarioConfig:
         raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from exc
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return ScenarioConfig.from_dict(doc)
+    return ScenarioConfig.from_dict(doc, command)

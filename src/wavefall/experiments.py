@@ -29,7 +29,7 @@ from .errors import (
     TooFewPoints,
     TooFewVariants,
 )
-from .packets import TWO_PI, WaveFunction, mean_position, mean_velocity_spectral
+from .packets import TWO_PI, WaveFunction, _field_moments
 from .propagate import (
     MomentSeries,
     StepScheme,
@@ -156,11 +156,9 @@ def ripple_check(wf: WaveFunction, tidal: TidalMatrix, dt: float) -> RippleRepor
     if edge_phase >= RIPPLE_EDGE_PHASE_LIMIT:
         raise PhaseWrapRisk(
             f"tidal phase {edge_phase:.3f} at the domain edge exceeds pi/4")
-    x_pre = mean_position(wf)
-    k_pre = mean_velocity_spectral(wf) * TWO_PI * wf.mass
-    stepped = tidal_step(wf, tidal, dt)
-    k_post = mean_velocity_spectral(stepped) * TWO_PI * wf.mass
-    measured = k_post - k_pre
+    _, x_pre, v_pre, _ = _field_moments(wf.grid, wf.psi, wf.mass)
+    v_post = _field_moments(wf.grid, tidal_step(wf, tidal, dt).psi, wf.mass)[2]
+    measured = v_post * TWO_PI * wf.mass - v_pre * TWO_PI * wf.mass
     predicted = -TWO_PI * wf.mass * dt * tidal.apply(x_pre)
     scale = float(np.linalg.norm(predicted))
     mismatch = float(np.linalg.norm(measured - predicted))

@@ -252,7 +252,7 @@ def make_packet(grid: SpectralGrid, shape: PacketShape, x0, v0, mass: float) -> 
         if table and not np.any(env):
             raise PacketTooWide("amplitude table leaves the grid empty")
         rho = np.abs(env) ** 2
-        err = _centroid(grid.axis_positions, grid.dim, rho, rho.sum()) - x0
+        err = _centroid(grid.axis_positions, grid.dim, rho, rho.sum(), {}) - x0
         if np.max(np.abs(err)) < _RECENTER_TOL:
             break
         center -= err
@@ -261,19 +261,19 @@ def make_packet(grid: SpectralGrid, shape: PacketShape, x0, v0, mass: float) -> 
     psi = env.astype(complex)
     if speed > 0:
         psi = _boost(grid, psi, mass, v0)
-    psi = np.divide(psi, math.sqrt(float((np.abs(psi) ** 2).sum()) * grid.cell_volume),
-                    out=psi)
-
-    wf = WaveFunction(grid=grid, psi=psi, mass=mass)
+    # the norm, and the means checked below (scaling moves them by rounding)
+    total, x, v, _ = _field_moments(grid, psi, mass)
+    wf = WaveFunction(grid=grid, psi=np.divide(psi, math.sqrt(total), out=psi), mass=mass)
 
     if table:
         # one corrective boost: tables may carry an intrinsic phase gradient
-        v_err = mean_velocity_spectral(wf) - v0
+        v_err = _field_moments(grid, wf.psi, mass)[2] - v0
         if np.max(np.abs(v_err)) > 1e-12:
             wf = replace(wf, psi=_boost(grid, wf.psi, mass, -v_err))
+            _, x, v, _ = _field_moments(grid, wf.psi, mass)
 
-    x_err = float(np.max(np.abs(mean_position(wf) - x0)))
-    v_err = float(np.max(np.abs(mean_velocity_spectral(wf) - v0)))
+    x_err = float(np.max(np.abs(x - x0)))
+    v_err = float(np.max(np.abs(v - v0)))
     if x_err > MOMENT_TOL or v_err > MOMENT_TOL:
         raise InitialMomentMismatch(
             f"constructed moments off target: |dx|={x_err:.3e}, |dv|={v_err:.3e} "
@@ -283,19 +283,21 @@ def make_packet(grid: SpectralGrid, shape: PacketShape, x0, v0, mass: float) -> 
 
 # --- observables -----------------------------------------------------------
 
-def _marginal(weight: np.ndarray, dim: int, keep: tuple[int, ...]) -> np.ndarray:
-    """``weight`` summed over its trailing ``dim`` grid axes except the
-    ascending axes ``keep``; ``weight`` itself when it keeps them all."""
-    # one axis per sum, last first: in a long run of 64^3 records, sums
-    # over two axes at once let the process's peak RSS creep up
-    lead = weight.ndim - dim
-    for ax in reversed(range(dim)):
-        if ax not in keep:
-            weight = weight.sum(axis=lead + ax)
-    return weight
+def _marginal(weight: np.ndarray, dim: int, keep: tuple[int, ...], sums: dict) -> np.ndarray:
+    """``weight`` summed over its trailing ``dim`` grid axes but ``keep``
+    (ascending), each marginal summed once and held in ``sums``, from the one
+    that also keeps the lowest axis it drops: one axis per sum, last first
+    (sums over two axes at once let the peak RSS of 64^3 runs creep up)."""
+    if len(keep) == dim:
+        return weight
+    if keep not in sums:
+        drop = min(set(range(dim)).difference(keep))
+        parent = tuple(sorted((*keep, drop)))
+        sums[keep] = _marginal(weight, dim, parent, sums).sum(axis=parent.index(drop) - len(parent))
+    return sums[keep]
 
 
-def _centroid(values: np.ndarray, dim: int, weight: np.ndarray, total) -> np.ndarray:
+def _centroid(values: np.ndarray, dim: int, weight: np.ndarray, total, sums: dict) -> np.ndarray:
     """Mean of each of ``dim`` axes with coordinates ``values`` under
     ``weight``, whose sum over the grid axes is ``total``: the weight's 1D
     marginal on that axis dotted with ``values``.
@@ -305,12 +307,12 @@ def _centroid(values: np.ndarray, dim: int, weight: np.ndarray, total) -> np.nda
     weight itself, so the sum is the pairwise ``.sum()`` of one contiguous
     field.
     """
-    return np.stack([(values * _marginal(weight, dim, (ax,))).sum(axis=-1) / total
+    return np.stack([(values * _marginal(weight, dim, (ax,), sums)).sum(axis=-1) / total
                      for ax in range(dim)], axis=-1)
 
 
 def _covariance(values: np.ndarray, dim: int, rho: np.ndarray, total,
-                mean: np.ndarray) -> np.ndarray:
+                mean: np.ndarray, sums: dict) -> np.ndarray:
     """Second central moments of one density or a stack of them, with the
     means of ``_centroid``; ``(dim, dim)`` or ``(k, dim, dim)``.  The
     diagonal comes from the 1D marginals of ``rho`` and the off-diagonal
@@ -320,11 +322,11 @@ def _covariance(values: np.ndarray, dim: int, rho: np.ndarray, total,
     centered = [values - mean[..., ax, None] for ax in range(dim)]
     for i in range(dim):
         cov[..., i, i] = (centered[i] * centered[i]
-                          * _marginal(rho, dim, (i,))).sum(axis=-1) / total
+                          * _marginal(rho, dim, (i,), sums)).sum(axis=-1) / total
         for j in range(i):
             # the (j, i) marginal holds axis j before axis i
             cij = (centered[i][..., None, :] * centered[j][..., :, None]
-                   * _marginal(rho, dim, (j, i))).sum(axis=(-2, -1)) / total
+                   * _marginal(rho, dim, (j, i), sums)).sum(axis=(-2, -1)) / total
             cov[..., i, j] = cov[..., j, i] = cij
     return cov
 
@@ -335,15 +337,15 @@ def moments(grid: SpectralGrid, psi: np.ndarray, mass: float,
     field of a stack ``psi`` of shape ``(k, *grid.shape)``, as arrays of
     shape ``(k,)``, ``(k, dim)``, ``(k, dim)`` and ``(k, dim, dim)``.
 
-    One density and one transform serve all four, whatever ``k``: one
-    ``spectral.transform`` call over the stack, one full sum per density,
-    and the means and covariance from the densities' marginals
-    (``_centroid``, ``_covariance``), so no product spans the full mesh.
-    Row r equals the public observables of ``psi[r]`` to the bit: they take
-    the same helpers, and every sum runs over the trailing grid axes of
-    that field alone.  The index-referenced transform
-    (bit for bit ``fftn`` per row) stands in for ``grid.forward``: the
-    centre signs it omits are +-1 factors that drop out of |A|^2.
+    The one code that reduces a state for its moments; the public
+    observables are its rows.  One density and one transform serve all
+    four, whatever ``k``: one ``spectral.transform`` call over the stack,
+    one full sum per density, and the means and covariance from the
+    densities' marginals, each summed once (``_marginal``): in 3D three
+    full-mesh sums of the density and two of its spectrum, in 2D two and
+    two.  Every sum runs over the trailing grid axes of one field.  The
+    index-referenced transform (bit for bit ``fftn`` per row) stands in
+    for ``grid.forward``: the centre signs it omits drop out of |A|^2.
 
     ``work``, a complex128 array of the shape of ``psi`` that does not
     overlap it, receives the transform in place of a newly allocated array;
@@ -353,29 +355,32 @@ def moments(grid: SpectralGrid, psi: np.ndarray, mass: float,
     rho = np.abs(psi)
     np.square(rho, out=rho)
     total = rho.sum(axis=axes)
-    mean_x = _centroid(grid.axis_positions, grid.dim, rho, total)
+    rho_sums = {}
+    mean_x = _centroid(grid.axis_positions, grid.dim, rho, total, rho_sums)
     w = np.abs(transform(psi, work, dim=grid.dim))
     np.square(w, out=w)
     return (total * grid.cell_volume, mean_x,
-            _centroid(grid.axis_wavenumbers, grid.dim, w, w.sum(axis=axes)) / (TWO_PI * mass),
-            _covariance(grid.axis_positions, grid.dim, rho, total, mean_x))
+            _centroid(grid.axis_wavenumbers, grid.dim, w, w.sum(axis=axes), {}) / (TWO_PI * mass),
+            _covariance(grid.axis_positions, grid.dim, rho, total, mean_x, rho_sums))
+
+
+def _field_moments(grid: SpectralGrid, psi: np.ndarray, mass: float) -> list:
+    """``moments`` of the one field ``psi``: its row of each."""
+    return [column[0] for column in moments(grid, psi[None], mass)]
 
 
 def norm(wf: WaveFunction) -> float:
     """Total probability sum |psi|^2 dV."""
-    return float((np.abs(wf.psi) ** 2).sum()) * wf.grid.cell_volume
+    return float(_field_moments(wf.grid, wf.psi, wf.mass)[0])
 
 
 def mean_position(wf: WaveFunction) -> np.ndarray:
-    rho = np.abs(wf.psi) ** 2
-    return _centroid(wf.grid.axis_positions, wf.grid.dim, rho, rho.sum())
+    return _field_moments(wf.grid, wf.psi, wf.mass)[1]
 
 
 def mean_velocity_spectral(wf: WaveFunction) -> np.ndarray:
     """<k> / (2 pi mu) from the spectral density |A(k)|^2."""
-    # the +-1 centre signs of grid.forward drop out of |A|^2 (as in moments)
-    w = np.abs(transform(wf.psi)) ** 2
-    return _centroid(wf.grid.axis_wavenumbers, wf.grid.dim, w, w.sum()) / (TWO_PI * wf.mass)
+    return _field_moments(wf.grid, wf.psi, wf.mass)[2]
 
 
 def mean_velocity_realspace(wf: WaveFunction) -> np.ndarray:
@@ -396,7 +401,4 @@ def mean_velocity_realspace(wf: WaveFunction) -> np.ndarray:
 
 def covariance(wf: WaveFunction) -> np.ndarray:
     """Second central moments of |psi|^2; symmetric positive semidefinite."""
-    x, dim = wf.grid.axis_positions, wf.grid.dim
-    rho = np.abs(wf.psi) ** 2
-    total = rho.sum()
-    return _covariance(x, dim, rho, total, _centroid(x, dim, rho, total))
+    return _field_moments(wf.grid, wf.psi, wf.mass)[3]

@@ -1,7 +1,8 @@
 """Shared fixtures-adjacent helpers: standard scenario pieces and the
 independent oracles (brute-force DFT, numpy-fft spectral centroid, a
-stand-alone kinetic step, full-mesh moments and zeros-start envelopes) used
-to cross-check the package's own routines."""
+stand-alone kinetic step, full-mesh and one-axis-per-sum moments, the exact
+discrete moment map and zeros-start envelopes) used to cross-check the
+package's own routines."""
 
 from dataclasses import replace
 
@@ -128,6 +129,91 @@ def fullmesh_moments(grid, psi, mass):
             cov[..., i, j] = cov[..., j, i] = (
                 (centered[i] * centered[j] * rho).sum(axis=axes) / total)
     return total * grid.cell_volume, mean_x, mean_v, cov
+
+
+# each marginal by keep, as one axis per sum, last first: the reduction order
+# moments is pinned to
+ONE_AXIS_PER_SUM = {
+    2: {(0,): lambda w: w.sum(axis=-1), (1,): lambda w: w.sum(axis=-2),
+        (0, 1): lambda w: w},
+    3: {(0,): lambda w: w.sum(axis=-1).sum(axis=-1),
+        (1,): lambda w: w.sum(axis=-1).sum(axis=-2),
+        (2,): lambda w: w.sum(axis=-2).sum(axis=-2),
+        (0, 1): lambda w: w.sum(axis=-1), (0, 2): lambda w: w.sum(axis=-2),
+        (1, 2): lambda w: w.sum(axis=-3)},
+}
+
+
+def one_axis_per_sum_moments(grid, psi, mass):
+    """The four moments of one field or a stack, each marginal summed
+    explicitly one axis per sum, last first, with the products in the
+    operand order of ``packets.moments``."""
+    axes, dim, x = tuple(range(-grid.dim, 0)), grid.dim, grid.axis_positions
+    marginal = ONE_AXIS_PER_SUM[dim]
+    rho = np.abs(psi) ** 2
+    total = rho.sum(axis=axes)
+    w = np.abs(transform(psi, dim=dim)) ** 2
+    mean_x = np.stack([(x * marginal[(a,)](rho)).sum(axis=-1) / total for a in range(dim)],
+                      axis=-1)
+    mean_k = np.stack([(grid.axis_wavenumbers * marginal[(a,)](w)).sum(axis=-1)
+                       / w.sum(axis=axes) for a in range(dim)], axis=-1)
+    centered = [x - mean_x[..., a, None] for a in range(dim)]
+    cov = np.empty(mean_x.shape + (dim,))
+    for i in range(dim):
+        cov[..., i, i] = (centered[i] * centered[i] * marginal[(i,)](rho)).sum(axis=-1) / total
+        for j in range(i):
+            cov[..., i, j] = cov[..., j, i] = (
+                centered[i][..., None, :] * centered[j][..., :, None]
+                * marginal[(j, i)](rho)).sum(axis=(-2, -1)) / total
+    return total * grid.cell_volume, mean_x, mean_k / (2.0 * np.pi * mass), cov
+
+
+def moment_map(wf, r, dt, n_steps, every, scheme):
+    """Mean position and position covariance of ``wf`` every ``every`` steps
+    (row 0: the initial state) under the exact discrete moment map, as
+    ``(mean_x, cov)`` of shapes ``(rows, dim)`` and ``(rows, dim, dim)``.
+
+    A kick (v -> v - R x h) and a drift (x -> x + v h) are the phase-space
+    matrices of the tidal imprint and the kinetic factor, both exponentials
+    of quadratics, so one step maps the phase-space mean m = (<x>, <v>) to
+    S m and the covariance C to S C S^T, for any envelope.  S is velocity
+    Verlet for Strang (half kick, drift, half kick) and drift then kick for
+    Lie.  The initial moments come from numpy's fftn of ``wf`` and full-mesh
+    sums; Sigma_xv starts at 0, as it does for a real envelope times a
+    plane wave.
+    """
+    grid, d = wf.grid, wf.grid.dim
+    k = 2.0 * np.pi / grid.extent * (np.fft.fftfreq(grid.n) * grid.n)
+    k_meshes = np.meshgrid(*([k] * d), indexing="ij")
+
+    def central(meshes, weight):
+        mean = np.array([(m * weight).sum() for m in meshes]) / weight.sum()
+        c = [[((a - mean[i]) * (b - mean[j]) * weight).sum() / weight.sum()
+              for j, b in enumerate(meshes)] for i, a in enumerate(meshes)]
+        return mean, np.array(c)
+
+    mx, cxx = central(grid.position_meshes, np.abs(wf.psi) ** 2)
+    mk, ckk = central(k_meshes, np.abs(np.fft.fftn(wf.psi)) ** 2)
+    to_v = 2.0 * np.pi * wf.mass
+    m = np.concatenate([mx, mk / to_v])
+    c = np.block([[cxx, np.zeros((d, d))], [np.zeros((d, d)), ckk / to_v ** 2]])
+
+    eye, zero = np.eye(d), np.zeros((d, d))
+    r = np.asarray(r, dtype=float).reshape(d, d)
+
+    def kick(h):
+        return np.block([[eye, zero], [-h * r, eye]])
+
+    drift = np.block([[eye, dt * eye], [zero, eye]])
+    s = (kick(dt / 2.0) @ drift @ kick(dt / 2.0) if StepScheme(scheme) is StepScheme.STRANG
+         else kick(dt) @ drift)
+    means, covs = [m[:d]], [c[:d, :d]]
+    for step in range(1, n_steps + 1):
+        m, c = s @ m, s @ c @ s.T
+        if step % every == 0:
+            means.append(m[:d])
+            covs.append(c[:d, :d])
+    return np.array(means), np.array(covs)
 
 
 def zeros_start_envelope(grid, shape, center):

@@ -471,6 +471,59 @@ class TestStepGuardsAtLoad:
         assert not out.exists()
 
 
+class TestCommandBlocks:
+    # each command checks and echoes only the optional blocks it reads: run
+    # and ripple none, wep masses and shapes, converge dt_list and order_band.
+    # Each of these configs fails at load with every block checked
+    @staticmethod
+    def shipped(name, **blocks):
+        configs = Path(__file__).resolve().parent.parent / "configs"
+        return {**json.loads((configs / name).read_text()), **blocks}
+
+    @pytest.mark.parametrize("block", [{"dt_list": [0.8]}, {"masses": [5]}])
+    def test_run_ignores_a_block_it_does_not_run(self, tmp_path, block):
+        # kinetic phase 4.118 for the packet's mass at dt 0.8, and 10.294 for
+        # mass 5 at the evolve dt
+        config = write(tmp_path, self.shipped("standard_1d_hires.json", **block))
+        with pytest.raises(StepTooLarge):
+            load_scenario(config)
+        plain = write(tmp_path, self.shipped("standard_1d_hires.json"), "plain.json")
+        out, want = tmp_path / "out.csv", tmp_path / "plain.csv"
+        assert main(["run", "--config", config, "--out", str(out)]) == 0
+        assert main(["run", "--config", plain, "--out", str(want)]) == 0
+        assert out.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("command", ["wep", "ripple"])
+    def test_wep_and_ripple_ignore_dt_list(self, tmp_path, command):
+        # kinetic phase 4.632 for the packet's mass 100 at dt 0.4 on N=768
+        config = write(tmp_path, self.shipped("wep_mass_1d.json", dt_list=[0.4, 0.2, 0.1]))
+        with pytest.raises(StepTooLarge):
+            load_scenario(config)
+        out = tmp_path / "out.json"
+        assert main([command, "--config", config, "--out", str(out)]) == 0
+        assert "dt_list" not in json.loads(out.read_text())["config"]
+
+    def test_converge_neither_checks_nor_echoes_masses(self, tmp_path):
+        # mass 50 fails the phase guard at dt_list's 0.4 (5.147 at N=512)
+        config = write(tmp_path, self.shipped("converge_strang_1d.json", masses=[50, 100]))
+        out = tmp_path / "out.json"
+        assert main(["converge", "--config", config, "--out", str(out)]) == 0
+        assert "masses" not in json.loads(out.read_text())["config"]
+        assert load_scenario(config, "converge").masses is None
+        assert load_scenario(config).masses == (50.0, 100.0)
+
+    @pytest.mark.parametrize("block", [{"masses": ["50"]}, {"dt_list": [0.4, -0.2]},
+                                       {"shapes": [{"shape": "cube"}]},
+                                       {"order_band": [2.2, 1.8]}])
+    def test_a_malformed_block_fails_whatever_the_command(self, tmp_path, capsys, block):
+        config = write(tmp_path, base_doc(**block))
+        out = tmp_path / "out"
+        for command in ("run", "ripple", "wep", "converge"):
+            assert main([command, "--config", config, "--out", str(out)]) == 2
+            assert capsys.readouterr().err.startswith("ConfigError: ")
+            assert not out.exists()
+
+
 class TestShippedConfigs:
     def test_all_shipped_configs_load(self):
         from pathlib import Path
@@ -600,3 +653,16 @@ class TestUnusablePaths:
         assert done.stderr.startswith("ConfigError: cannot write output '/dev/full'")
         assert done.stderr.count("\n") == 1
         assert "Traceback" not in done.stderr
+
+
+def test_import_footprint():
+    # the package and its CLI import numpy alone: no scipy, and none of the
+    # thread-pool modules (a 2D/3D transform imports queue when it first
+    # splits a pass)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = ("import sys, wavefall, wavefall.cli; print(sorted(set(sys.argv[1:]) "
+            "& set(sys.modules)))")
+    done = subprocess.run(
+        [sys.executable, "-c", code, "scipy", "queue", "concurrent.futures", "multiprocessing"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout.strip() == "[]"

@@ -1,8 +1,5 @@
-import os
-import subprocess
-import sys
+import gc
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,11 +10,11 @@ from scipy.special import erf
 from helpers import (
     fullmesh_moments,
     npfft_centroid,
+    one_axis_per_sum_moments,
     random_field,
     std_grid,
     zeros_start_envelope,
 )
-import wavefall
 from wavefall import (
     AliasRisk,
     ConfigError,
@@ -265,6 +262,56 @@ class TestMoments:
                                       covariance(wf))):
                 assert np.array_equal(g[r], w)
 
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_leaves_no_reference_cycle(self, rng, dim):
+        # a cycle through the held marginals would keep each record's
+        # density and spectrum alive until the collector runs, so the peak
+        # RSS of a long run would grow with the records taken
+        grid = std_grid(n=8, dim=dim)
+        stack = random_field(grid, rng)[None]
+        gc.collect()
+        gc.disable()
+        try:
+            moments(grid, stack, 37.0)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("dim,n,sums", [(2, 16, [2, 2]), (3, 8, [3, 2])])
+    def test_sums_each_marginal_once(self, rng, dim, n, sums):
+        # the full-mesh sums of the density and of its spectrum, each less
+        # its one total: a 3D call makes 3 and 2 (9 and 3 when every
+        # marginal was summed anew), a 2D call 2 and 2 (4 and 2)
+        calls = []
+
+        class Counted(np.ndarray):
+            def sum(self, *args, **kwargs):
+                calls.append((id(self), self.size))
+                return super().sum(*args, **kwargs)
+
+        grid = std_grid(n=n, dim=dim)
+        stack = np.stack([random_field(grid, rng) for _ in range(2)])
+        moments(grid, stack.view(Counted), 37.0, np.empty_like(stack).view(Counted))
+        full = [ident for ident, size in calls if size == stack.size]
+        # the density's first sum is its total, then the spectrum's comes
+        density, spectrum = list(dict.fromkeys(full))[:2]
+        assert [full.count(density) - 1, full.count(spectrum) - 1] == sums
+
+    @pytest.mark.parametrize("dim,n", [(2, 16), (3, 8), (3, 12)])
+    def test_equal_to_one_axis_per_sum_to_the_bit(self, rng, dim, n):
+        # each marginal is summed once, from the one that also keeps the
+        # lowest axis it drops: the order of one axis per sum, last first
+        grid = std_grid(n=n, dim=dim)
+        stack = np.stack([random_field(grid, rng, normalized=False) for _ in range(3)])
+        for g, w in zip(moments(grid, stack, 37.0), one_axis_per_sum_moments(grid, stack, 37.0)):
+            assert g.tobytes() == w.tobytes()
+        wf = WaveFunction(grid=grid, psi=stack[1], mass=37.0)
+        want = one_axis_per_sum_moments(grid, wf.psi, 37.0)
+        assert norm(wf) == want[0]
+        for g, w in zip((mean_position(wf), mean_velocity_spectral(wf), covariance(wf)),
+                        want[1:]):
+            assert g.tobytes() == w.tobytes()
+
 
 class TestMarginalOracle:
     """``moments`` reduces each density to its per-axis marginals; the
@@ -379,11 +426,3 @@ class TestCustomTable:
             make_packet(std_grid(n=16, dim=2), PacketShape.from_table(str(table)),
                         [0.0, 0.0], [0.0, 0.0], 100.0)
 
-
-def test_import_leaves_scipy_out():
-    # the package needs numpy alone
-    src = str(Path(wavefall.__file__).resolve().parents[1])
-    code = "import sys, wavefall; print('scipy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert out.stdout.strip() == "False"

@@ -6,9 +6,13 @@ import pytest
 
 from helpers import (
     LEAN_N,
+    QUARTER_PERIOD_STEPS,
     STD_DT,
     STD_MASS,
+    STD_R,
+    STD_X0,
     kinetic_step,
+    moment_map,
     npfft_centroid,
     random_field,
     std_grid,
@@ -689,6 +693,38 @@ class TestSpectralMonitor:
         assert np.array_equal(a.final_state.psi, b.final_state.psi)
         assert a.diagnostics["max_spectral_edge_mass"] is None
         assert 0.0 < b.diagnostics["max_spectral_edge_mass"] < 1e-15
+
+
+class TestMomentMap:
+    """On a resolved grid the recorded mean and covariance follow the exact
+    discrete moment map (``helpers.moment_map``), whatever the envelope:
+    the paper's universality claim in discrete form, with the scheme's
+    splitting error left out of the comparison."""
+
+    @pytest.mark.parametrize("scheme", ["strang", "lie"])
+    @pytest.mark.parametrize("shape", [PacketShape.gaussian(1.0),
+                                       PacketShape.skewed_gaussian(1.0, 1.0),
+                                       PacketShape.double_peak(0.7, 1.2)],
+                             ids=["gaussian", "skewed", "double_peak"])
+    def test_1d_quarter_period(self, shape, scheme):
+        wf = make_packet(std_grid(n=512), shape, [STD_X0], [0.0], STD_MASS)
+        series = evolve(wf, std_tidal(), StepScheme(scheme),
+                        EvolveConfig(dt=STD_DT, n_steps=QUARTER_PERIOD_STEPS, record_every=10))
+        mean_x, cov = moment_map(wf, STD_R, STD_DT, QUARTER_PERIOD_STEPS, 10, scheme)
+        assert np.max(np.abs(series.mean_x - mean_x)) < 1e-12
+        assert np.max(np.abs(series.cov - cov)) < 1e-12
+
+    @pytest.mark.parametrize("scheme", ["strang", "lie"])
+    def test_2d_off_diagonal_tidal_matrix(self, scheme):
+        # one trapped and one stretched direction, mixed by the off-diagonal
+        r = [[1e-4, 3e-5], [3e-5, -5e-5]]
+        wf = make_packet(std_grid(n=128, dim=2), PacketShape.gaussian(1.0), [2.0, -1.0],
+                         [0.002, 0.001], 40.0)
+        series = evolve(wf, TidalMatrix(r), StepScheme(scheme),
+                        EvolveConfig(dt=STD_DT, n_steps=400, record_every=10))
+        mean_x, cov = moment_map(wf, r, STD_DT, 400, 10, scheme)
+        assert np.max(np.abs(series.mean_x - mean_x)) < 1e-12
+        assert np.max(np.abs(series.cov - cov)) < 1e-12
 
 
 class TestAccelerationSeries:
