@@ -54,17 +54,21 @@ ROOT = Path(__file__).resolve().parent.parent
 RECORD = ROOT / "scripts" / "output_digests.txt"
 COMMANDS = ("wep", "ripple", "converge")
 RUN_2D = {
-    "grid": {"dim": 2, "n": 64, "extent": 20.0},
+    "grid": {"dim": 2, "n": 128, "extent": 20.0},
     "packet": {"shape": "gaussian", "params": [1.0], "x0": [2.0, -1.0],
                "v0": [0.002, 0.001], "mass": 100.0},
     "curvature": {"tidal": [1e-4, 3e-5, 3e-5, -5e-5], "vacuum": False},
     "evolve": {"dt": 0.1, "steps": 400, "record_every": 10, "scheme": "strang"},
 }
 FIELD_3D = ROOT / "perfbench" / "templates" / "field_3d.json"
-# (command, base config, (block, key, value) settings made in it); the base
-# is "1d" (configs/standard_1d.json), "strang" (configs/converge_strang_1d.json),
-# "shapes" (configs/wep_shapes_1d.json), "2d" (RUN_2D) or "3d" (FIELD_3D),
-# and a block of None sets a top-level key
+GENERATED_2D = "<generated>/run_2d.json"
+# the base configs of VARIANTS; "2d" is RUN_2D, written as GENERATED_2D
+BASES = {"1d": ROOT / "configs" / "standard_1d.json",
+         "strang": ROOT / "configs" / "converge_strang_1d.json",
+         "shapes": ROOT / "configs" / "wep_shapes_1d.json",
+         "3d": FIELD_3D}
+# (command, base, (block, key, value) settings made in it); a block of None
+# sets a top-level key
 CONVERGE_1D = ((None, "dt_list", [0.4, 0.2, 0.1]), ("evolve", "steps", 784))
 VARIANTS = (
     # run aborts, exit 3.  1D: the armed spectral-edge monitor
@@ -77,9 +81,9 @@ VARIANTS = (
     ("run", "1d", (("packet", "v0", [0.03]),)),
     # a packet released inside the margin band (initial BoundaryContact)
     ("run", "1d", (("packet", "x0", [5.0]),)),
-    # 2D: a heavy packet under the armed monitor (SpectralEdgeContact at step 48)
+    # 2D: a heavy packet under the armed monitor (SpectralEdgeContact at step 138)
     ("run", "2d", (("packet", "mass", 300), ("evolve", "spectral_mass_tol", 1e-10))),
-    # a light, fast packet (BoundaryContact at step 113)
+    # a light, fast packet (BoundaryContact at step 129)
     ("run", "2d", (("packet", "v0", [0.03, 0.0]), ("packet", "mass", 5))),
     # 3D: the same light, fast packet over 400 steps (BoundaryContact at
     # step 113, twelve rows)
@@ -136,6 +140,14 @@ def run(command: str, config: Path, out: Path) -> tuple[int, str, str]:
     return done.returncode, digest, hashlib.sha256(done.stderr).hexdigest()
 
 
+def variant_prefix(command: str, base: str, settings) -> str:
+    """A variant's line up to `` exit=``: its command, base and changed keys."""
+    label = GENERATED_2D if base == "2d" else str(BASES[base].relative_to(ROOT))
+    changed = " ".join(f"{key if block is None else f'{block}.{key}'}={json.dumps(value)}"
+                       for block, key, value in settings)
+    return f"{command} {label} {changed}"
+
+
 def header() -> str:
     return f"# numpy={version('numpy')} machine={platform.machine()}"
 
@@ -150,27 +162,17 @@ def printout():
         config = Path(tmp) / "run_2d.json"
         config.write_text(json.dumps(RUN_2D))
         code, digest, _ = run("run", config, Path(tmp) / "run-run_2d.out")
-        yield f"run <generated>/{config.name} exit={code} sha256={digest}"
-        std = ROOT / "configs" / "standard_1d.json"
-        strang = ROOT / "configs" / "converge_strang_1d.json"
-        shapes = ROOT / "configs" / "wep_shapes_1d.json"
-        bases = {"1d": (str(std.relative_to(ROOT)), std.read_text()),
-                 "strang": (str(strang.relative_to(ROOT)), strang.read_text()),
-                 "shapes": (str(shapes.relative_to(ROOT)), shapes.read_text()),
-                 "2d": (f"<generated>/{config.name}", json.dumps(RUN_2D)),
-                 "3d": (str(FIELD_3D.relative_to(ROOT)), FIELD_3D.read_text())}
+        yield f"run {GENERATED_2D} exit={code} sha256={digest}"
         for i, (command, base, settings) in enumerate(VARIANTS):
-            label, text = bases[base]
-            doc = json.loads(text)
+            doc = json.loads(json.dumps(RUN_2D) if base == "2d" else BASES[base].read_text())
             for block, key, value in settings:
                 (doc if block is None else doc[block])[key] = value
             # numbered, since two variants may change the same keys of one base
             config = Path(tmp) / f"variant{i}-{base}.json"
             config.write_text(json.dumps(doc))
             code, digest, err = run(command, config, Path(tmp) / f"{command}-{config.stem}.out")
-            changed = " ".join(f"{key if block is None else f'{block}.{key}'}={json.dumps(value)}"
-                               for block, key, value in settings)
-            yield f"{command} {label} {changed} exit={code} sha256={digest} stderr_sha256={err}"
+            yield (f"{variant_prefix(command, base, settings)} exit={code} sha256={digest} "
+                   f"stderr_sha256={err}")
     flat = ROOT / "configs" / "flat_1d.json"
     code, digest, err = run("run", flat, Path("/dev/full"))
     yield (f"run {flat.relative_to(ROOT)} --out /dev/full exit={code} sha256={digest} "

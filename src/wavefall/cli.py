@@ -7,11 +7,12 @@
 
 Exit codes: 0 success/pass, 1 ran-but-failed (a pass/fail command whose
 report's ``passed`` came out False), 2 validation error (an unreadable
-config, an ``--out`` with no directory to go into and a failed write of
-the output included), 3 runtime abort (a monitor tripped: BoundaryContact
-for mass in the position margin band, or SpectralEdgeContact for mass at
-the Nyquist edge when ``evolve.spectral_mass_tol`` is set; ``run`` flushes
-the partial CSV with a trailing ``# aborted: <error class>: ...`` line).
+config, an ``--out`` with no directory to go into or naming the config,
+and a failed write of the output included), 3 runtime abort (a monitor
+tripped: BoundaryContact for mass in the position margin band, or
+SpectralEdgeContact for mass at the Nyquist edge when
+``evolve.spectral_mass_tol`` is set; ``run`` flushes the partial CSV with
+a trailing ``# aborted: <error class>: ...`` line).
 ``main`` writes every report the same way; each report carries its own
 pass rule (``experiments``).  Every output goes through ``_write`` and
 embeds the fully resolved config for reproducibility.  Each command loads
@@ -96,13 +97,16 @@ def _report(command: str, scenario: ScenarioConfig):
     return (wep_shape_sweep if scenario.masses is None else wep_mass_sweep)(scenario)
 
 
-def _check_out(path: str) -> None:
-    """Fail before any work when ``path`` cannot be written as a file."""
+def _check_out(path: str, config: str) -> None:
+    """Fail before any work when ``path`` cannot be written as a file, or
+    is the config file, which the output would overwrite."""
     out = Path(path)
     if not out.parent.is_dir():
         raise ConfigError(f"output directory {str(out.parent)!r} does not exist")
     if out.is_dir():
         raise ConfigError(f"output path {path!r} is a directory")
+    if out.exists() and out.samefile(config):
+        raise ConfigError(f"output path {path!r} is the config file")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -129,7 +133,7 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         scenario = load_scenario(args.config, args.command)
-        _check_out(args.out)
+        _check_out(args.out, args.config)
         if args.command == "run":
             return cmd_run(scenario, args.out)
         report = _report(args.command, scenario)

@@ -331,8 +331,7 @@ def _covariance(values: np.ndarray, dim: int, rho: np.ndarray, total,
     return cov
 
 
-def moments(grid: SpectralGrid, psi: np.ndarray, mass: float,
-            work: np.ndarray | None = None):
+def moments(grid: SpectralGrid, psi: np.ndarray, mass: float):
     """(norm, mean position, spectral mean velocity, covariance) of every
     field of a stack ``psi`` of shape ``(k, *grid.shape)``, as arrays of
     shape ``(k,)``, ``(k, dim)``, ``(k, dim)`` and ``(k, dim, dim)``.
@@ -346,10 +345,6 @@ def moments(grid: SpectralGrid, psi: np.ndarray, mass: float,
     two.  Every sum runs over the trailing grid axes of one field.  The
     index-referenced transform (bit for bit ``fftn`` per row) stands in
     for ``grid.forward``: the centre signs it omits drop out of |A|^2.
-
-    ``work``, a complex128 array of the shape of ``psi`` that does not
-    overlap it, receives the transform in place of a newly allocated array;
-    its contents are overwritten.
     """
     axes = tuple(range(-grid.dim, 0))
     rho = np.abs(psi)
@@ -357,7 +352,7 @@ def moments(grid: SpectralGrid, psi: np.ndarray, mass: float,
     total = rho.sum(axis=axes)
     rho_sums = {}
     mean_x = _centroid(grid.axis_positions, grid.dim, rho, total, rho_sums)
-    w = np.abs(transform(psi, work, dim=grid.dim))
+    w = np.abs(transform(psi, dim=grid.dim))
     np.square(w, out=w)
     return (total * grid.cell_volume, mean_x,
             _centroid(grid.axis_wavenumbers, grid.dim, w, w.sum(axis=axes), {}) / (TWO_PI * mass),

@@ -43,13 +43,13 @@ from .errors import (
     TooFewRecords,
 )
 from .packets import WaveFunction, moments
-from .spectral import SpectralGrid, in_place
+from .spectral import SpectralGrid, in_place, padded
 
 # the spectral monitor watches |k_i| >= (1 - SPECTRAL_EDGE_FRACTION) k_max
 SPECTRAL_EDGE_FRACTION = 0.1
 # at most this many bytes of state snapshots are held for one stacked
 # moments call: 32 rows at N=256, 16 at N=512, 10 at N=768 and 2 at 64^2,
-# and every temporary of a stacked call stays under glibc's 128 KiB mmap
+# and every temporary of a 1D stacked call stays under glibc's 128 KiB mmap
 # threshold; a field too large for two is recorded alone, as a view
 RECORD_STACK_BYTES = 128 * 1024
 
@@ -210,17 +210,6 @@ def _band_sum(parts: list[np.ndarray], dV: float) -> Callable[[], float]:
     return total
 
 
-def _padded(grid: SpectralGrid) -> tuple[np.ndarray, np.ndarray]:
-    """A zeroed complex buffer of shape ``(n,) + (n + 1,) * (dim - 1)`` and
-    its ``grid.shape`` view.  The pad cell on every axis after the first
-    keeps each transform axis off a power-of-two stride (at 64^3 the 64 KiB
-    and 1 KiB strides put a line's samples in a few cache sets); in 1D the
-    view is the whole buffer."""
-    n = grid.n
-    whole = np.zeros((n,) + (n + 1,) * (grid.dim - 1), dtype=complex)
-    return whole, whole[(slice(None),) + (slice(0, n),) * (grid.dim - 1)]
-
-
 def _kinetic_factor(grid: SpectralGrid, scale: float, out: np.ndarray) -> np.ndarray:
     """``np.exp(-1j * grid.k_squared * scale)`` written into ``out`` (a
     ``grid.shape`` array), bit for bit, without building ``k_squared``.
@@ -283,11 +272,11 @@ def evolve(wf: WaveFunction, tidal: TidalMatrix, scheme: StepScheme,
     epsilon = check_tidal_factor(grid, tidal, mass, dt)
 
     # each factor is built into its padded buffer: no unpadded copy stays alive
-    kin, kin_inner = _padded(grid)
+    kin, kin_inner = padded(grid.shape)
     _kinetic_factor(grid, dt / (4.0 * np.pi * mass), kin_inner)
     # strang: half kick, drift, half kick; lie: drift, full kick
     strang = scheme is StepScheme.STRANG
-    tid, tid_inner = _padded(grid)
+    tid, tid_inner = padded(grid.shape)
     np.multiply(1j, _tidal_phase_field(grid, tidal, mass, dt / 2.0 if strang else dt),
                 out=tid_inner)
     np.exp(tid_inner, out=tid_inner)
@@ -307,17 +296,12 @@ def evolve(wf: WaveFunction, tidal: TidalMatrix, scheme: StepScheme,
     # place (bit-identical to writing another buffer); the multiplies run
     # over whole padded buffers, whose pads stay zero, and the transforms,
     # monitors and records read the grid.shape view
-    whole, state = _padded(grid)
+    whole, state = padded(grid.shape)
     state[...] = wf.psi
-    # records are snapshots stacked up to RECORD_STACK_BYTES and taken by one
-    # moments call per full stack; a budget of one field records the state's
-    # own view, and its work buffer is the run's only other field
+    # records are snapshots stacked up to RECORD_STACK_BYTES, taken by one
+    # moments call per full stack; a budget of one field records the state's view
     depth = min(n_rows, max(1, RECORD_STACK_BYTES // state.nbytes))
-    if depth == 1:
-        snaps, snaps_work = state[None], _padded(grid)[1][None]
-    else:
-        snaps = np.empty((depth,) + grid.shape, dtype=state.dtype)
-        snaps_work = np.empty_like(snaps)
+    snaps = state[None] if depth == 1 else np.empty((depth,) + grid.shape, dtype=state.dtype)
     # index-referenced transforms: the centre signs of grid.forward and
     # grid.inverse cancel around the diagonal kinetic factor (S^2 = 1), and
     # a +-1 multiply is exact, so the state is theirs to the bit
@@ -336,7 +320,7 @@ def evolve(wf: WaveFunction, tidal: TidalMatrix, scheme: StepScheme,
         start = (stop - 1) // depth * depth
         k = stop - start
         norms[start:stop], mean_x[start:stop], mean_v[start:stop], cov[start:stop] = (
-            moments(grid, snaps[:k], mass, snaps_work[:k]))
+            moments(grid, snaps[:k], mass))
 
     def record(row: int) -> None:
         """Snapshot the state as record ``row``; take a full stack."""

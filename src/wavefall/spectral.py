@@ -10,7 +10,8 @@ the physical coordinates,
 so the coefficients are Fourier amplitudes of the domain-centered field.
 Both directions carry N^(-d/2); discrete Parseval sum|f|^2 == sum|A|^2 holds
 exactly up to rounding.  Complex fields are plain complex128 ndarrays of
-shape ``grid.shape`` (row-major); there is no wrapper type.
+shape ``grid.shape``, in 2D and 3D often views of ``padded`` buffers;
+there is no wrapper type.
 
 ``transform`` is the index-referenced unitary FFT the step loop, the
 moment records and ``SpectralGrid.forward``/``inverse`` run on: numpy's
@@ -227,6 +228,20 @@ class SpectralGrid:
         return transform(field, field, inverse=True)
 
 
+def padded(shape: tuple[int, ...], dim: int | None = None,
+           dtype=complex) -> tuple[np.ndarray, np.ndarray]:
+    """A zeroed buffer and its ``shape`` view: the one allocator of padded
+    fields, the step loop's and every ``transform`` output not given.  Of
+    the grid axes, the trailing ``dim`` (all when None), each after the
+    first has one pad cell, which keeps the transform axes off power-of-two
+    strides (at 64^3 the 64 KiB and 1 KiB strides put a line's samples in a
+    few cache sets).  Stack axes are not padded: ``k`` 3D fields take
+    ``(k, n, n + 1, n + 1)``, and in 1D the view is the whole buffer."""
+    first = 1 if dim is None else len(shape) - dim + 1
+    whole = np.zeros(shape[:first] + tuple(s + 1 for s in shape[first:]), dtype=dtype)
+    return whole, whole[(slice(None),) * first + tuple(slice(0, s) for s in shape[first:])]
+
+
 def transform(field: np.ndarray, out: np.ndarray | None = None,
               inverse: bool = False, dim: int | None = None) -> np.ndarray:
     """``np.fft.fftn(field, axes=..., norm="ortho", out=out)``, or ``ifftn``
@@ -238,8 +253,9 @@ def transform(field: np.ndarray, out: np.ndarray | None = None,
     alone would be, bit for bit.  One ufunc call per transformed axis, last
     axis first as ``fftn`` goes, each scaled by 1/sqrt(n) (equal to numpy's
     ``reciprocal(sqrt(n))``, both correctly rounded).  The first axis
-    writes into ``out`` (allocated when None) and the others transform it in
-    place; ``field`` is only read unless it is ``out``.  Returns ``out``.
+    writes into ``out`` and the others transform it in place; ``field`` is
+    only read unless it is ``out``.  Returns ``out``; when None, it is the
+    view of a ``padded`` buffer, not C-contiguous in 2D and 3D.
 
     A field of at least ``SPLIT_CELLS`` cells with two or more axes, on a
     process allowed two CPUs, runs each pass in two halves of another axis,
@@ -248,10 +264,9 @@ def transform(field: np.ndarray, out: np.ndarray | None = None,
     are the same.
     """
     ufunc = ifft_ufunc if inverse else fft_ufunc
+    dim = field.ndim if dim is None else dim
     if out is None:
-        out = np.empty_like(field, dtype=np.result_type(field.dtype, 1j))
-    if dim is None:
-        dim = field.ndim
+        out = padded(field.shape, dim, np.result_type(field.dtype, 1j))[1]
     split = field.ndim > 1 and field.size >= SPLIT_CELLS and _cpus() > 1
     for ax in range(field.ndim - 1, field.ndim - 1 - dim, -1):
         scale = 1.0 / math.sqrt(field.shape[ax])

@@ -633,6 +633,33 @@ class TestUnusablePaths:
         assert calls == []
         assert out.is_dir() if case == "directory" else not out.parent.exists()
 
+    # an --out naming the config file, by its own path or through a link,
+    # would overwrite the scenario with the output
+    @pytest.mark.parametrize("command", ["run", "wep", "ripple", "converge"])
+    @pytest.mark.parametrize("form", ["same", "symlink"])
+    def test_out_naming_the_config_exits_2_and_keeps_it(self, tmp_path, capsys, monkeypatch,
+                                                         command, form):
+        import wavefall.cli as cli
+        calls = []
+        monkeypatch.setattr(ScenarioConfig, "build_packet",
+                            lambda *a, **k: calls.append("build_packet"))
+        monkeypatch.setattr(cli, "evolve", lambda *a, **k: calls.append("evolve"))
+        monkeypatch.setattr(cli, "_report", lambda *a, **k: calls.append("report"))
+        doc = base_doc(masses=[50, 100]) if command == "wep" else base_doc()
+        config = write(tmp_path, doc)
+        before = Path(config).read_bytes()
+        out = tmp_path / "link.json"
+        if form == "same":
+            out = Path(config)
+        else:
+            out.symlink_to(config)
+        code = main([command, "--config", config, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"ConfigError: output path {str(out)!r} is the config file\n"
+        assert calls == []
+        assert Path(config).read_bytes() == before
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("case", ["run", "run_aborted", "ripple"])
     def test_failed_write_exits_2(self, tmp_path, case):

@@ -46,10 +46,9 @@ from wavefall.propagate import (
     _band_slabs,
     _band_sum,
     _kinetic_factor,
-    _padded,
     _tidal_phase_field,
 )
-from wavefall.spectral import SpectralGrid
+from wavefall.spectral import SpectralGrid, padded
 
 TWO_PI = 2.0 * np.pi
 # the keys of every series' diagnostics, full or partial
@@ -478,9 +477,9 @@ class TestLeanLoop:
         monkeypatch.setattr(propagate, "RECORD_STACK_BYTES", depth * 16 * grid.n ** dim)
         stacks = []
 
-        def spy(grid, psi, mass, work=None):
+        def spy(grid, psi, mass):
             stacks.append(psi.shape[0])
-            return moments(grid, psi, mass, work)
+            return moments(grid, psi, mass)
 
         monkeypatch.setattr(propagate, "moments", spy)
         tidal = TidalMatrix(LEAN_TIDAL[dim])
@@ -530,9 +529,9 @@ class TestLeanLoop:
     def test_default_budget_rows_per_stack(self, dim, n, rows, monkeypatch):
         stacks = []
 
-        def spy(grid, psi, mass, work=None):
+        def spy(grid, psi, mass):
             stacks.append(psi.shape[0])
-            return moments(grid, psi, mass, work)
+            return moments(grid, psi, mass)
 
         monkeypatch.setattr(propagate, "moments", spy)
         grid = SpectralGrid(dim=dim, n=n, extent=20.0)
@@ -600,7 +599,7 @@ class TestPaddedLayout:
     @pytest.mark.parametrize("dim,n", [(1, LEAN_N[1]), (2, LEAN_N[2]), (3, LEAN_N[3]), (3, 64)])
     def test_band_mass_of_padded_slabs_equals_contiguous_to_the_bit(self, dim, n, rng):
         grid = SpectralGrid(dim=dim, n=n, extent=20.0)
-        view = _padded(grid)[1]
+        view = padded(grid.shape)[1]
         view[...] = random_field(grid, rng, normalized=False)
         dense = np.ascontiguousarray(view)
         for values, cut in ((grid.axis_positions, 0.4 * grid.extent),
@@ -701,11 +700,14 @@ class TestMomentMap:
     the paper's universality claim in discrete form, with the scheme's
     splitting error left out of the comparison."""
 
+    # every shipped envelope; a 2D skew and peak split lie along axis 0
+    shapes = pytest.mark.parametrize(
+        "shape", [PacketShape.gaussian(1.0), PacketShape.skewed_gaussian(1.0, 1.0),
+                  PacketShape.double_peak(0.7, 1.2)],
+        ids=["gaussian", "skewed", "double_peak"])
+
     @pytest.mark.parametrize("scheme", ["strang", "lie"])
-    @pytest.mark.parametrize("shape", [PacketShape.gaussian(1.0),
-                                       PacketShape.skewed_gaussian(1.0, 1.0),
-                                       PacketShape.double_peak(0.7, 1.2)],
-                             ids=["gaussian", "skewed", "double_peak"])
+    @shapes
     def test_1d_quarter_period(self, shape, scheme):
         wf = make_packet(std_grid(n=512), shape, [STD_X0], [0.0], STD_MASS)
         series = evolve(wf, std_tidal(), StepScheme(scheme),
@@ -715,11 +717,11 @@ class TestMomentMap:
         assert np.max(np.abs(series.cov - cov)) < 1e-12
 
     @pytest.mark.parametrize("scheme", ["strang", "lie"])
-    def test_2d_off_diagonal_tidal_matrix(self, scheme):
+    @shapes
+    def test_2d_off_diagonal_tidal_matrix(self, shape, scheme):
         # one trapped and one stretched direction, mixed by the off-diagonal
         r = [[1e-4, 3e-5], [3e-5, -5e-5]]
-        wf = make_packet(std_grid(n=128, dim=2), PacketShape.gaussian(1.0), [2.0, -1.0],
-                         [0.002, 0.001], 40.0)
+        wf = make_packet(std_grid(n=128, dim=2), shape, [2.0, -1.0], [0.002, 0.001], 40.0)
         series = evolve(wf, TidalMatrix(r), StepScheme(scheme),
                         EvolveConfig(dt=STD_DT, n_steps=400, record_every=10))
         mean_x, cov = moment_map(wf, r, STD_DT, 400, 10, scheme)

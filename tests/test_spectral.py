@@ -118,7 +118,10 @@ class TestTransforms:
         kept = f.copy()
         modes = np.meshgrid(*[g.axis_modes] * dim, indexing="ij")
         signs = np.where(sum(modes) % 2 == 0, 1.0, -1.0)
-        assert np.array_equal(g.forward(f), signs * np.fft.fftn(f, norm="ortho"))
+        spectrum = g.forward(f)
+        assert np.array_equal(spectrum, signs * np.fft.fftn(f, norm="ortho"))
+        # a view of a spectral.padded buffer, like every transform output
+        assert spectrum.base.shape == (n,) + (n + 1,) * (dim - 1)
         assert np.array_equal(g.inverse(f), np.fft.ifftn(signs * f, norm="ortho"))
         assert f.tobytes() == kept.tobytes()
 
@@ -174,6 +177,31 @@ class TestTransformUfuncs:
         assert stack.tobytes() == kept.tobytes()
         assert transform(stack, stack, inverse=inverse, dim=dim) is stack
         assert np.array_equal(stack, out)
+
+
+class TestPaddedOutput:
+    # transform allocates an output it is not given through spectral.padded:
+    # one pad cell on every grid axis after the first, none on a stack axis
+    # and none in 1D, so no 2D/3D transform output has a power-of-two stride
+
+    @pytest.mark.parametrize("inverse", [False, True])
+    @pytest.mark.parametrize("shape,dim", [
+        ((512,), 1), ((3, 512), 1), ((LEAN_N[2],) * 2, 2), ((LEAN_N[3],) * 3, 3),
+        ((64,) * 3, 3), ((3,) + (LEAN_N[3],) * 3, 3), ((2, 32, 32, 32), 3)],
+        ids=["1d", "1d-stack", "2d", "3d", "64^3", "3d-stack", "32^3-stack"])
+    def test_padded_view_equals_numpy_fftn_to_the_bit(self, shape, dim, inverse, rng):
+        f = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        kept = f.copy()
+        out = transform(f, inverse=inverse, dim=dim)
+        first = len(shape) - dim + 1
+        assert out.shape == shape
+        assert out.base.shape == shape[:first] + tuple(n + 1 for n in shape[first:])
+        assert out.strides == out.base.strides
+        for stride in out.strides[first - 1:-1]:
+            assert stride & (stride - 1), "power-of-two stride on a transform axis"
+        want = (np.fft.ifftn if inverse else np.fft.fftn)(f, axes=range(-dim, 0), norm="ortho")
+        assert out.tobytes() == want.tobytes()
+        assert f.tobytes() == kept.tobytes()
 
 
 class TestSplitPasses:
