@@ -7,8 +7,9 @@
 
 Exit codes: 0 success/pass, 1 ran-but-failed (a pass/fail command whose
 report's ``passed`` came out False), 2 validation error (an unreadable
-config, an ``--out`` with no directory to go into or naming the config,
-and a failed write of the output included), 3 runtime abort (a monitor
+config, an ``--out`` with no directory to go into, naming a directory, or
+naming the config or an amplitude table it reads, and a failed write of
+the output included), 3 runtime abort (a monitor
 tripped: BoundaryContact for mass in the position margin band, or
 SpectralEdgeContact for mass at the Nyquist edge when
 ``evolve.spectral_mass_tol`` is set; ``run`` flushes the partial CSV with
@@ -97,9 +98,10 @@ def _report(command: str, scenario: ScenarioConfig):
     return (wep_shape_sweep if scenario.masses is None else wep_mass_sweep)(scenario)
 
 
-def _check_out(path: str, config: str) -> None:
+def _check_out(path: str, config: str, scenario: ScenarioConfig) -> None:
     """Fail before any work when ``path`` cannot be written as a file, or
-    is the config file, which the output would overwrite."""
+    is the config file or an amplitude table the scenario reads, which the
+    output would overwrite."""
     out = Path(path)
     if not out.parent.is_dir():
         raise ConfigError(f"output directory {str(out.parent)!r} does not exist")
@@ -107,6 +109,9 @@ def _check_out(path: str, config: str) -> None:
         raise ConfigError(f"output path {path!r} is a directory")
     if out.exists() and out.samefile(config):
         raise ConfigError(f"output path {path!r} is the config file")
+    for shape in (scenario.shape, *(scenario.shapes or ())):
+        if shape.table_path is not None and out.exists() and out.samefile(shape.table_path):
+            raise ConfigError(f"output path {path!r} is the amplitude table {shape.table_path!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -133,7 +138,7 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         scenario = load_scenario(args.config, args.command)
-        _check_out(args.out, args.config)
+        _check_out(args.out, args.config, scenario)
         if args.command == "run":
             return cmd_run(scenario, args.out)
         report = _report(args.command, scenario)

@@ -3,18 +3,20 @@ and the convergence-order study.
 
 Sweep and convergence members are independent runs of one runner,
 ``_evolve_members``.  They run one after another, in the order given, on
-the calling thread, so the first member that fails stops the experiment,
-its error labelled (``mass=200:``, ``dt=0.4:``), and the members after it
-never run.  Each sweep reads its members from the scenario alone: the mass
-sweep its ``masses``, the shape sweep its ``shapes``, the convergence study
-its ``dt_list`` and ``scheme``.  Reports are plain dataclasses with
-``to_dict`` for JSON serialization and a ``passed`` verdict computed from
-their fields.
+the calling thread, so the first member that fails stops the experiment
+with its own error, the member's label prefixed to the message in place
+(``mass=200:``, ``dt=0.4:``), and the members after it never run.  Each
+reads its members from the scenario alone: the convergence study its
+``dt_list`` and ``scheme``; the mass and shape sweeps, one body ``_wep``
+under two label rules, its ``masses`` or ``shapes``.  Reports are plain
+dataclasses with ``to_dict`` for JSON serialization and a ``passed``
+verdict computed from their fields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import combinations
 
 import numpy as np
 
@@ -22,7 +24,6 @@ from .classical import _check_stamps, exact_flow, match_metric
 from .config import ScenarioConfig
 from .curvature import TidalMatrix
 from .errors import (
-    BoundaryContact,
     ConfigError,
     PhaseWrapRisk,
     SimulationError,
@@ -46,23 +47,17 @@ DEFAULT_WEP_RTOL = 1e-8
 DEFAULT_ORDER_BANDS = {StepScheme.STRANG: (1.8, 2.2), StepScheme.LIE: (0.8, 1.2)}
 
 
-def _annotate(exc: SimulationError, label: str) -> SimulationError:
-    """The same error, class and payload kept, with the member label prefixed."""
-    if isinstance(exc, BoundaryContact):
-        return type(exc)(exc.step_index, f"{label}: {exc}", partial=exc.partial)
-    return type(exc)(f"{label}: {exc}")
-
-
 def _evolve_members(scenario: ScenarioConfig, members):
     """Build and evolve each member ``(label, packet keywords, evolve
     config)`` in order, with the scenario's scheme, and yield its series,
-    keeping none.  The first member that fails raises its error labelled
-    with its label; the members after it are not built."""
+    keeping none.  The first member that fails raises its own error, the
+    label prefixed to it in place; the members after it are not built."""
     for label, packet, cfg in members:
         try:
             yield evolve(scenario.build_packet(**packet), scenario.tidal, scenario.scheme, cfg)
         except SimulationError as exc:
-            raise _annotate(exc, label) from exc
+            exc.args = (f"{label}: {exc}",)
+            raise
 
 
 # --- reports ----------------------------------------------------------------
@@ -176,14 +171,22 @@ def ripple_check(wf: WaveFunction, tidal: TidalMatrix, dt: float) -> RippleRepor
 
 # --- universality sweeps -----------------------------------------------------
 
-def _pairwise_report(kind: str, labels, runs: list[MomentSeries]) -> WepReport:
-    n = len(runs)
-    deviations = np.zeros((n, n))
-    eotvos = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            deviations[i, j] = deviations[j, i] = match_metric(runs[i], runs[j])
-            eotvos[i, j] = eotvos[j, i] = eotvos_ratio(runs[i], runs[j])
+def _wep(scenario: ScenarioConfig, kind: str, block: str, labels,
+         member_labels) -> WepReport:
+    """Sweep the packet's ``kind`` over the scenario's ``block``, an error of
+    member i labelled ``member_labels[i]``, and compare the recorded mean
+    trajectories pairwise under ``labels``."""
+    values = getattr(scenario, block) or ()
+    if len(values) < 2:
+        raise TooFewVariants(f"{kind} sweep needs at least two {block}")
+    check_records(scenario.evolve_cfg.n_records)
+    runs = list(_evolve_members(scenario, ((label, {kind: value}, scenario.evolve_cfg)
+                                           for label, value in zip(member_labels, values))))
+    deviations = np.zeros((len(runs), len(runs)))
+    eotvos = np.zeros_like(deviations)
+    for i, j in combinations(range(len(runs)), 2):
+        deviations[i, j] = deviations[j, i] = match_metric(runs[i], runs[j])
+        eotvos[i, j] = eotvos[j, i] = eotvos_ratio(runs[i], runs[j])
     amplitude = max(float(np.max(np.linalg.norm(r.mean_x, axis=1))) for r in runs)
     return WepReport(kind=kind, labels=tuple(labels), deviations=deviations,
                      eotvos=eotvos, threshold=DEFAULT_WEP_RTOL * max(1.0, amplitude),
@@ -199,17 +202,11 @@ def wep_mass_sweep(scenario: ScenarioConfig) -> WepReport:
     two masses are equal, so no two members share a label.  Members run in
     the order given; the first that fails raises its error, labelled, and
     the masses after it are not evolved."""
-    masses = scenario.masses or ()
-    if len(masses) < 2:
-        raise TooFewVariants("mass sweep needs at least two masses")
-    check_records(scenario.evolve_cfg.n_records)
-    texts = [f"{m:g}" if float(f"{m:g}") == m else repr(m) for m in masses]
+    texts = [f"{m:g}" if float(f"{m:g}") == m else repr(m) for m in scenario.masses or ()]
     distinct = len(set(texts)) == len(texts)
     labels = [f"mass={text}" if distinct else f"mass[{i}]={text}"
               for i, text in enumerate(texts)]
-    runs = list(_evolve_members(scenario, (
-        (label, {"mass": m}, scenario.evolve_cfg) for label, m in zip(labels, masses))))
-    return _pairwise_report("mass", labels, runs)
+    return _wep(scenario, "mass", "masses", labels, labels)
 
 
 def wep_shape_sweep(scenario: ScenarioConfig) -> WepReport:
@@ -220,18 +217,11 @@ def wep_shape_sweep(scenario: ScenarioConfig) -> WepReport:
     when two kinds are equal, so no two members share a label.  Members run
     in the order given; the first that fails raises its error, labelled
     ``shape[i]=<kind>``, and the shapes after it are not built."""
-    shapes = scenario.shapes or ()
-    if len(shapes) < 2:
-        raise TooFewVariants("shape sweep needs at least two shapes")
-    check_records(scenario.evolve_cfg.n_records)
-    kinds = [shape.kind for shape in shapes]
+    kinds = [shape.kind for shape in scenario.shapes or ()]
     indexed = [f"shape[{i}]={kind}" for i, kind in enumerate(kinds)]
     # make_packet holds the first moments to x0, v0 within MOMENT_TOL
-    runs = list(_evolve_members(scenario, (
-        (label, {"shape": shape}, scenario.evolve_cfg)
-        for label, shape in zip(indexed, shapes))))
-    return _pairwise_report("shape", kinds if len(set(kinds)) == len(kinds) else indexed,
-                            runs)
+    return _wep(scenario, "shape", "shapes",
+                kinds if len(set(kinds)) == len(kinds) else indexed, indexed)
 
 
 def eotvos_ratio(run_a: MomentSeries, run_b: MomentSeries) -> float:

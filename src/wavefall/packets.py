@@ -229,7 +229,9 @@ def make_packet(grid: SpectralGrid, shape: PacketShape, x0, v0, mass: float) -> 
     The envelope center is adjusted by fixed-point iteration until the grid
     mean lands on x0 (asymmetric envelopes and truncation shift it), then the
     de Broglie boost exp(i 2 pi mass v0 . x) is applied.  Moments are
-    measured back and must match the targets to 1e-8.
+    measured back and must match the targets to 1e-8.  A table's rows go to
+    their nearest nodes, so it moves by whole cells only: x0 must be its grid
+    mean plus a whole number of cells, or InitialMomentMismatch is raised.
     """
     check_packet_preconditions(grid, shape, x0, v0, mass)
     x0 = np.asarray(x0, dtype=float).reshape(-1)

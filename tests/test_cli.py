@@ -38,6 +38,21 @@ def write(tmp_path, doc, name="config.json"):
     return str(path)
 
 
+def write_table(path, offset=0.0):
+    """A sigma=1 Gaussian centred at x=2, one row per node of base_doc's
+    N=256, L=20 grid, at positions moved by ``offset``; its grid mean is 2."""
+    x = -10.0 + np.arange(256) * (20.0 / 256)
+    amp = np.exp(-((x - 2.0) ** 2) / 2.0)
+    np.savetxt(path, np.column_stack([x + offset, amp, 0 * amp]), delimiter=",")
+    return str(path)
+
+
+def table_doc(table):
+    """base_doc with its packet read from the amplitude table ``table``."""
+    return base_doc(packet={"shape": "custom_table", "table": table, "x0": [2.0],
+                            "v0": [0.0], "mass": 100.0})
+
+
 def read_csv(path):
     lines = path.read_text().splitlines()
     header = [l for l in lines if l and not l.startswith("#")][0]
@@ -209,6 +224,32 @@ class TestRunCommand:
         _, _, rows = read_csv(out)
         assert 1 < rows.shape[0] < 158
         assert "SpectralEdgeContact" in capsys.readouterr().err
+
+
+class TestCustomTable:
+    # a valid table scenario through the in-process CLI; the subprocess
+    # cases in TestMalformedConfigs feed only malformed tables
+
+    def test_table_run_echoes_the_table(self, tmp_path):
+        table = write_table(tmp_path / "t.csv")
+        out = tmp_path / "series.csv"
+        assert main(["run", "--config", write(tmp_path, table_doc(table)),
+                     "--out", str(out)]) == 0
+        lines, _, rows = read_csv(out)
+        config = json.loads(lines[0][len("# config: "):])
+        assert '"table"' in lines[0]
+        assert config["packet"]["table"] == table
+        assert config["packet"]["shape"] == "custom_table"
+        assert abs(rows[0, 2] - 2.0) < 1e-8
+
+    def test_table_off_the_grid_exits_2(self, tmp_path, capsys):
+        # every row lands beyond the L=20 domain
+        table = write_table(tmp_path / "t.csv", offset=40.0)
+        out = tmp_path / "series.csv"
+        assert main(["run", "--config", write(tmp_path, table_doc(table)),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "PacketTooWide: amplitude table leaves the grid empty\n"
+        assert not out.exists()
 
 
 def doc_2d(**packet):
@@ -659,6 +700,37 @@ class TestUnusablePaths:
         assert err == f"ConfigError: output path {str(out)!r} is the config file\n"
         assert calls == []
         assert Path(config).read_bytes() == before
+
+    # an --out naming an amplitude table the command reads would overwrite
+    # it, and the next load would fail on the table
+    @pytest.mark.parametrize("command", ["run", "wep"])
+    @pytest.mark.parametrize("form", ["same", "symlink"])
+    def test_out_naming_a_table_exits_2_and_keeps_it(self, tmp_path, capsys, monkeypatch,
+                                                     command, form):
+        import wavefall.cli as cli
+        calls = []
+        monkeypatch.setattr(ScenarioConfig, "build_packet",
+                            lambda *a, **k: calls.append("build_packet"))
+        monkeypatch.setattr(cli, "evolve", lambda *a, **k: calls.append("evolve"))
+        monkeypatch.setattr(cli, "_report", lambda *a, **k: calls.append("report"))
+        table = write_table(tmp_path / "t.csv")
+        if command == "run":
+            doc = table_doc(table)
+        else:
+            doc = base_doc(shapes=[{"shape": "gaussian", "params": [1.0]},
+                                   {"shape": "custom_table", "table": table}])
+        before = Path(table).read_bytes()
+        out = tmp_path / "link.csv"
+        if form == "same":
+            out = Path(table)
+        else:
+            out.symlink_to(table)
+        code = main([command, "--config", write(tmp_path, doc), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"ConfigError: output path {str(out)!r} is the amplitude table {table!r}\n"
+        assert calls == []
+        assert Path(table).read_bytes() == before
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("case", ["run", "run_aborted", "ripple"])

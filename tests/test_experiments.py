@@ -111,6 +111,21 @@ class TestWepSweeps:
         with pytest.raises(TooFewVariants):
             wep_mass_sweep(std_scenario(n_steps=10))  # no masses block
 
+    def test_too_few_members_raise_before_any_member(self, monkeypatch):
+        # one message rule for both sweeps: "<kind> sweep needs at least two <block>"
+        calls = []
+        monkeypatch.setattr(experiments, "evolve", lambda *a, **k: calls.append("evolve"))
+        for sweep, scenario, text in (
+                (wep_mass_sweep, std_scenario(n_steps=20, record_every=10, masses=(100.0,)),
+                 "mass sweep needs at least two masses"),
+                (wep_shape_sweep, std_scenario(n_steps=20, record_every=10,
+                                               shapes=(PacketShape.gaussian(1.0),)),
+                 "shape sweep needs at least two shapes")):
+            with pytest.raises(TooFewVariants) as info:
+                sweep(scenario)
+            assert str(info.value) == text
+        assert calls == []
+
     def test_identical_shapes_zero_deviation(self):
         scenario = std_scenario(n_steps=200, record_every=10,
                                 shapes=(PacketShape.gaussian(1.0), PacketShape.gaussian(1.0)))
@@ -322,6 +337,14 @@ class TestConvergence:
         # the same ConfigError the loader raises, before any member is built
         with pytest.raises(ConfigError, match="^dt_list entries must be positive"):
             convergence_study(std_scenario(n_steps=784, dt_list=dts))
+
+    def test_duration_not_a_multiple_of_dt_raises_before_any_member(self, monkeypatch):
+        # 785 steps of 0.1 is 78.5, which 0.4 does not divide
+        calls = []
+        monkeypatch.setattr(experiments, "evolve", lambda *a, **k: calls.append("evolve"))
+        with pytest.raises(ConfigError, match=r"^duration 78\.5 is not a multiple of dt=0\.4$"):
+            convergence_study(std_scenario(n_steps=785, dt_list=(0.4, 0.2, 0.1)))
+        assert calls == []
 
     def test_strang_order_two(self):
         scenario = std_scenario(n_steps=784, dt_list=(0.4, 0.2, 0.1))  # T = 78.4
