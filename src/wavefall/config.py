@@ -2,15 +2,16 @@
 
 A scenario bundles a grid, a tidal matrix, a packet definition and the run
 settings; sweep-style experiments add ``masses``, ``shapes`` or ``dt_list``
-blocks.  Loading for a command keeps only the blocks that command reads
-(``_COMMAND_BLOCKS``): every block is parsed for form, and the others are
-then dropped.  Loading re-validates every module precondition and reads
+blocks.  Each opt-in key is one entry in its table: an optional evolve key
+in ``_EVOLVE_OPTIONS``, an optional block, with the command that reads it,
+in ``_OPTIONAL_BLOCKS``.  Loading for a command keeps only the blocks that
+command reads: every block is parsed for form, and the others are then
+dropped.  Loading re-validates every module precondition and reads
 every amplitude table of what is kept, so a bad document fails before any
 packet is built; every number must be finite, and unknown keys are
 rejected everywhere.
-``resolved()`` returns the full document with defaults materialized (the
-opt-in ``evolve.spectral_mass_tol`` appears only when set); every CSV/JSON
-the CLI writes embeds it.
+``resolved()`` returns the full document with defaults materialized (an
+opt-in key appears only when set); every CSV/JSON the CLI writes embeds it.
 """
 
 from __future__ import annotations
@@ -28,14 +29,10 @@ from .packets import PacketShape, _load_table, check_packet_preconditions, make_
 from .propagate import EvolveConfig, StepScheme, check_kinetic_phase, check_tidal_factor
 from .spectral import SpectralGrid
 
-_TOP_KEYS = {"grid", "packet", "curvature", "evolve", "masses", "shapes", "dt_list", "order_band"}
 _GRID_KEYS = {"dim", "n", "extent"}
 _PACKET_KEYS = {"shape", "params", "x0", "v0", "mass", "table"}
 _SHAPE_KEYS = {"shape", "params", "table"}
 _CURV_KEYS = {"tidal", "vacuum"}
-# the optional blocks each CLI command reads
-_COMMAND_BLOCKS = {"run": (), "ripple": (), "wep": ("masses", "shapes"),
-                  "converge": ("dt_list", "order_band")}
 
 
 def _block(doc: dict, name: str, allowed: set, required: tuple) -> dict:
@@ -68,7 +65,8 @@ def _integer(value, where: str) -> int:
     return value
 
 
-# optional evolve keys, each named as its EvolveConfig field, with its parser
+# optional evolve keys, each named as its EvolveConfig field, with its parser;
+# resolved() echoes those whose value is not None
 _EVOLVE_OPTIONS = {"record_every": _integer, "boundary_margin_fraction": _number,
                    "boundary_mass_tol": _number, "spectral_mass_tol": _number}
 _EVOLVE_KEYS = {"dt", "steps", "scheme", *_EVOLVE_OPTIONS}
@@ -101,6 +99,52 @@ def _parse_shape(block: dict, where: str) -> PacketShape:
     return PacketShape(kind, params, table)
 
 
+def _shape_doc(shape: PacketShape) -> dict:
+    table = {} if shape.table_path is None else {"table": shape.table_path}
+    return {"shape": shape.kind, "params": list(shape.params), **table}
+
+
+def _parse_shapes(value) -> tuple[PacketShape, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError("shapes must be a list of shape objects")
+    parsed = []
+    for i, entry in enumerate(value):
+        if not isinstance(entry, dict):
+            raise ConfigError(f"shapes[{i}] must be an object")
+        bad = sorted(set(entry) - _SHAPE_KEYS)
+        if bad:
+            raise ConfigError(f"unknown keys in shapes[{i}]: {bad}")
+        parsed.append(_parse_shape(entry, f"shapes[{i}]"))
+    return tuple(parsed)
+
+
+def _parse_dt_list(value) -> tuple[float, ...]:
+    dt_list = _numbers(value, "dt_list")
+    if any(d <= 0 for d in dt_list):
+        raise ConfigError(f"dt_list entries must be positive, got {list(dt_list)}")
+    return dt_list
+
+
+def _parse_order_band(band) -> tuple[float, float]:
+    if not isinstance(band, (list, tuple)) or len(band) != 2:
+        raise ConfigError("order_band must be [low, high]")
+    low, high = (_number(b, "order_band") for b in band)
+    if low > high:
+        raise ConfigError(f"order_band must be [low, high] with low <= high, got {band}")
+    return low, high
+
+
+# optional blocks, each named as its ScenarioConfig field, in parse order:
+# the command that reads it, its parser and its echo
+_OPTIONAL_BLOCKS = {
+    "masses": ("wep", lambda value: _numbers(value, "masses"), list),
+    "shapes": ("wep", _parse_shapes, lambda shapes: [_shape_doc(s) for s in shapes]),
+    "dt_list": ("converge", _parse_dt_list, list),
+    "order_band": ("converge", _parse_order_band, list),
+}
+_TOP_KEYS = {"grid", "packet", "curvature", "evolve", *_OPTIONAL_BLOCKS}
+
+
 @dataclass(frozen=True, eq=False)
 class ScenarioConfig:
     """Validated scenario with builders for its runtime objects."""
@@ -122,6 +166,8 @@ class ScenarioConfig:
     def from_dict(cls, doc: dict, command: str | None = None) -> "ScenarioConfig":
         """The validated scenario of ``doc``; for a ``command``, with only
         the optional blocks it reads, and with all of them for none."""
+        if command not in (None, "run", "ripple", "wep", "converge"):
+            raise ConfigError(f"unknown command {command!r}")
         if not isinstance(doc, dict):
             raise ConfigError("config document must be a JSON object")
         unknown = sorted(set(doc) - _TOP_KEYS)
@@ -169,39 +215,10 @@ class ScenarioConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
-        masses = _numbers(doc["masses"], "masses") if "masses" in doc else None
-        shapes = None
-        if "shapes" in doc:
-            if not isinstance(doc["shapes"], (list, tuple)):
-                raise ConfigError("shapes must be a list of shape objects")
-            parsed = []
-            for i, entry in enumerate(doc["shapes"]):
-                if not isinstance(entry, dict):
-                    raise ConfigError(f"shapes[{i}] must be an object")
-                bad = sorted(set(entry) - _SHAPE_KEYS)
-                if bad:
-                    raise ConfigError(f"unknown keys in shapes[{i}]: {bad}")
-                parsed.append(_parse_shape(entry, f"shapes[{i}]"))
-            shapes = tuple(parsed)
-        dt_list = None
-        if "dt_list" in doc:
-            dt_list = _numbers(doc["dt_list"], "dt_list")
-            if any(d <= 0 for d in dt_list):
-                raise ConfigError(f"dt_list entries must be positive, got {list(dt_list)}")
-        order_band = None
-        if "order_band" in doc:
-            band = doc["order_band"]
-            if not isinstance(band, (list, tuple)) or len(band) != 2:
-                raise ConfigError("order_band must be [low, high]")
-            order_band = (_number(band[0], "order_band"), _number(band[1], "order_band"))
-            if order_band[0] > order_band[1]:
-                raise ConfigError(f"order_band must be [low, high] with low <= high, got {band}")
-
-        blocks = {"masses": masses, "shapes": shapes, "dt_list": dt_list,
-                  "order_band": order_band}
-        if command is not None:
-            blocks = {name: block if name in _COMMAND_BLOCKS[command] else None
-                      for name, block in blocks.items()}
+        blocks = {name: parse(doc[name])
+                  for name, (_, parse, _) in _OPTIONAL_BLOCKS.items() if name in doc}
+        blocks = {name: block for name, block in blocks.items()
+                  if command in (None, _OPTIONAL_BLOCKS[name][0])}
         cfg = cls(grid=grid, tidal=tidal, shape=shape, x0=x0, v0=v0, mass=mass,
                   evolve_cfg=evolve_cfg, scheme=scheme, **blocks)
         cfg.validate()
@@ -241,34 +258,20 @@ class ScenarioConfig:
 
     def resolved(self) -> dict:
         """Full config document with defaults materialized (for echoing)."""
-        def shape_doc(shape: PacketShape) -> dict:
-            doc = {"shape": shape.kind, "params": list(shape.params)}
-            if shape.table_path is not None:
-                doc["table"] = shape.table_path
-            return doc
-
+        ev = self.evolve_cfg
         doc = {
             "grid": {"dim": self.grid.dim, "n": self.grid.n, "extent": self.grid.extent},
-            "packet": {**shape_doc(self.shape), "x0": list(self.x0), "v0": list(self.v0),
+            "packet": {**_shape_doc(self.shape), "x0": list(self.x0), "v0": list(self.v0),
                        "mass": self.mass},
             "curvature": {"tidal": [float(v) for v in self.tidal.entries.reshape(-1)],
                           "vacuum": self.tidal.vacuum},
-            "evolve": {"dt": self.evolve_cfg.dt, "steps": self.evolve_cfg.n_steps,
-                       "record_every": self.evolve_cfg.record_every,
-                       "scheme": self.scheme.value,
-                       "boundary_margin_fraction": self.evolve_cfg.boundary_margin_fraction,
-                       "boundary_mass_tol": self.evolve_cfg.boundary_mass_tol},
+            "evolve": {"dt": ev.dt, "steps": ev.n_steps, "scheme": self.scheme.value,
+                       **{key: getattr(ev, key) for key in _EVOLVE_OPTIONS
+                          if getattr(ev, key) is not None}},
         }
-        if self.evolve_cfg.spectral_mass_tol is not None:
-            doc["evolve"]["spectral_mass_tol"] = self.evolve_cfg.spectral_mass_tol
-        if self.masses is not None:
-            doc["masses"] = list(self.masses)
-        if self.shapes is not None:
-            doc["shapes"] = [shape_doc(s) for s in self.shapes]
-        if self.dt_list is not None:
-            doc["dt_list"] = list(self.dt_list)
-        if self.order_band is not None:
-            doc["order_band"] = list(self.order_band)
+        for name, (_, _, echo) in _OPTIONAL_BLOCKS.items():
+            if getattr(self, name) is not None:
+                doc[name] = echo(getattr(self, name))
         return doc
 
 

@@ -230,8 +230,10 @@ def make_packet(grid: SpectralGrid, shape: PacketShape, x0, v0, mass: float) -> 
     mean lands on x0 (asymmetric envelopes and truncation shift it), then the
     de Broglie boost exp(i 2 pi mass v0 . x) is applied.  Moments are
     measured back and must match the targets to 1e-8.  A table's rows go to
-    their nearest nodes, so it moves by whole cells only: x0 must be its grid
-    mean plus a whole number of cells, or InitialMomentMismatch is raised.
+    their nearest nodes, so a table of one row per node moves by whole cells
+    only: x0 must be its grid mean plus a whole number of cells, or
+    InitialMomentMismatch names the grid mean reached.  A denser table
+    reaches some offsets between nodes, not all of them.
     """
     check_packet_preconditions(grid, shape, x0, v0, mass)
     x0 = np.asarray(x0, dtype=float).reshape(-1)
@@ -277,9 +279,11 @@ def make_packet(grid: SpectralGrid, shape: PacketShape, x0, v0, mass: float) -> 
     x_err = float(np.max(np.abs(x - x0)))
     v_err = float(np.max(np.abs(v - v0)))
     if x_err > MOMENT_TOL or v_err > MOMENT_TOL:
+        cause = (f"table rows land on their nearest nodes: grid mean {x[0]:.12g}, x0 {x0[0]:.12g}"
+                 if table and x_err > MOMENT_TOL >= v_err
+                 else "packet support too close to the domain edge or wavenumber cap")
         raise InitialMomentMismatch(
-            f"constructed moments off target: |dx|={x_err:.3e}, |dv|={v_err:.3e} "
-            f"(packet support too close to the domain edge or wavenumber cap)")
+            f"constructed moments off target: |dx|={x_err:.3e}, |dv|={v_err:.3e} ({cause})")
     return wf
 
 

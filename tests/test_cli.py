@@ -251,6 +251,24 @@ class TestCustomTable:
         assert capsys.readouterr().err == "PacketTooWide: amplitude table leaves the grid empty\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("cells, dx, x0", [(0.5, "3.906e-02", "2.0390625"),
+                                               (0.001, "7.812e-05", "2.000078125")])
+    def test_sub_cell_x0_names_the_nearest_node_rule(self, tmp_path, capsys, cells, dx, x0):
+        # one row per node: the table moves by whole cells, so its grid mean
+        # reaches 2 + 3 cells but stays at 2 for a fraction of a cell
+        table = write_table(tmp_path / "t.csv")
+        out = tmp_path / "series.csv"
+        doc = table_doc(table)
+        doc["packet"]["x0"] = [2.0 + 3 * 20.0 / 256]
+        assert main(["run", "--config", write(tmp_path, doc), "--out", str(out)]) == 0
+        out.unlink()
+        doc["packet"]["x0"] = [2.0 + cells * 20.0 / 256]
+        assert main(["run", "--config", write(tmp_path, doc), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"InitialMomentMismatch: constructed moments off target: |dx|={dx}, |dv|=0.000e+00 "
+            f"(table rows land on their nearest nodes: grid mean 2, x0 {x0})\n")
+        assert not out.exists()
+
 
 def doc_2d(**packet):
     """A 2D scenario on a 32^2 grid with an off-diagonal tidal matrix."""
@@ -563,6 +581,33 @@ class TestCommandBlocks:
             assert main([command, "--config", config, "--out", str(out)]) == 2
             assert capsys.readouterr().err.startswith("ConfigError: ")
             assert not out.exists()
+
+
+    def test_an_unknown_command_is_a_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="^unknown command 'bogus'$"):
+            ScenarioConfig.from_dict(base_doc(), "bogus")
+        with pytest.raises(ConfigError, match="^unknown command 'bogus'$"):
+            load_scenario(write(tmp_path, base_doc()), "bogus")
+
+    @pytest.mark.parametrize("command, blocks", [
+        (None, {"masses", "shapes", "dt_list", "order_band"}), ("run", set()),
+        ("ripple", set()), ("wep", {"masses", "shapes"}), ("converge", {"dt_list", "order_band"})])
+    def test_resolved_echoes_exactly_the_blocks_read(self, tmp_path, command, blocks):
+        # every optional block (a table among the shapes) and every optional
+        # evolve key set, each to a value that is not its default
+        evolve = {"dt": 0.1, "steps": 100, "scheme": "lie", "record_every": 5,
+                  "boundary_margin_fraction": 0.06, "boundary_mass_tol": 1e-7,
+                  "spectral_mass_tol": 1e-9}
+        doc = base_doc(evolve=evolve, masses=[90.0, 100.5], dt_list=[0.1, 0.05],
+                       order_band=[0.5, 2.5],
+                       shapes=[{"shape": "gaussian", "params": [0.8]},
+                               {"shape": "custom_table", "params": [],
+                                "table": write_table(tmp_path / "t.csv")}])
+        resolved = ScenarioConfig.from_dict(doc, command).resolved()
+        assert set(resolved) == {"grid", "packet", "curvature", "evolve", *blocks}
+        assert resolved["evolve"] == evolve
+        assert all(resolved[name] == doc[name] for name in blocks)
+        assert ScenarioConfig.from_dict(resolved, command).resolved() == resolved
 
 
 class TestShippedConfigs:
