@@ -65,6 +65,7 @@ GENERATED_2D = "<generated>/run_2d.json"
 # the base configs of VARIANTS; "2d" is RUN_2D, written as GENERATED_2D
 BASES = {"1d": ROOT / "configs" / "standard_1d.json",
          "strang": ROOT / "configs" / "converge_strang_1d.json",
+         "mass": ROOT / "configs" / "wep_mass_1d.json",
          "shapes": ROOT / "configs" / "wep_shapes_1d.json",
          "3d": FIELD_3D}
 # (command, base, (block, key, value) settings made in it); a block of None
@@ -117,7 +118,15 @@ VARIANTS = (
     ("converge", "strang", ((None, "masses", [50, 100]),)),
     # exit 0: run reads no masses either, so mass 1, whose kinetic phase at
     # the evolve dt passes pi, is not checked; the CSV equals the plain run's
-    ("run", "1d", ((None, "masses", [1]),)))
+    ("run", "1d", ((None, "masses", [1]),)),
+    # exit 0, each with the shipped study's report: load checks only the runs
+    # the command makes.  converge runs only its dt_list, so an evolve dt of
+    # 0.8 (kinetic phase 4.118) only sets the duration, the shipped 156.8 ...
+    ("converge", "strang", (("evolve", "dt", 0.8), ("evolve", "steps", 196))),
+    # ... the mass sweep never evolves the packet's own mass 10 ...
+    ("wep", "mass", (("packet", "mass", 10),)),
+    # ... and the shape sweep never builds the packet's own shape, too wide
+    ("wep", "shapes", (("packet", "params", [3.0]),)))
 
 
 def scenarios() -> list[tuple[str, Path]]:

@@ -3,13 +3,13 @@
 A scenario bundles a grid, a tidal matrix, a packet definition and the run
 settings; sweep-style experiments add ``masses``, ``shapes`` or ``dt_list``
 blocks.  Each opt-in key is one entry in its table: an optional evolve key
-in ``_EVOLVE_OPTIONS``, an optional block, with the command that reads it,
-in ``_OPTIONAL_BLOCKS``.  Loading for a command keeps only the blocks that
-command reads: every block is parsed for form, and the others are then
-dropped.  Loading re-validates every module precondition and reads
-every amplitude table of what is kept, so a bad document fails before any
-packet is built; every number must be finite, and unknown keys are
-rejected everywhere.
+in ``_EVOLVE_OPTIONS``, an optional block, with the command that reads it
+and its run rule, in ``_OPTIONAL_BLOCKS``.  Loading for a command keeps only
+the blocks it reads (every block is parsed for form, the others dropped),
+re-validates every module precondition and step guard on exactly the runs
+it makes (``runs()``) and reads every amplitude table of what is kept, so a
+bad document fails before any packet is built; every number must be
+finite, and unknown keys are rejected everywhere.
 ``resolved()`` returns the full document with defaults materialized (an
 opt-in key appears only when set); every CSV/JSON the CLI writes embeds it.
 """
@@ -135,12 +135,16 @@ def _parse_order_band(band) -> tuple[float, float]:
 
 
 # optional blocks, each named as its ScenarioConfig field, in parse order:
-# the command that reads it, its parser and its echo
+# the command that reads it, its parser, its echo and its run rule, the
+# (mass, shape, dt) of each run it makes from the scenario and the block
 _OPTIONAL_BLOCKS = {
-    "masses": ("wep", lambda value: _numbers(value, "masses"), list),
-    "shapes": ("wep", _parse_shapes, lambda shapes: [_shape_doc(s) for s in shapes]),
-    "dt_list": ("converge", _parse_dt_list, list),
-    "order_band": ("converge", _parse_order_band, list),
+    "masses": ("wep", lambda value: _numbers(value, "masses"), list,
+               lambda cfg, masses: [(m, cfg.shape, cfg.evolve_cfg.dt) for m in masses]),
+    "shapes": ("wep", _parse_shapes, lambda shapes: [_shape_doc(s) for s in shapes],
+               lambda cfg, shapes: [(cfg.mass, s, cfg.evolve_cfg.dt) for s in shapes]),
+    "dt_list": ("converge", _parse_dt_list, list,
+                lambda cfg, dts: [(cfg.mass, cfg.shape, dt) for dt in dts]),
+    "order_band": ("converge", _parse_order_band, list, lambda cfg, band: []),
 }
 _TOP_KEYS = {"grid", "packet", "curvature", "evolve", *_OPTIONAL_BLOCKS}
 
@@ -216,7 +220,7 @@ class ScenarioConfig:
             raise ConfigError(str(exc)) from exc
 
         blocks = {name: parse(doc[name])
-                  for name, (_, parse, _) in _OPTIONAL_BLOCKS.items() if name in doc}
+                  for name, (_, parse, _, _) in _OPTIONAL_BLOCKS.items() if name in doc}
         blocks = {name: block for name, block in blocks.items()
                   if command in (None, _OPTIONAL_BLOCKS[name][0])}
         cfg = cls(grid=grid, tidal=tidal, shape=shape, x0=x0, v0=v0, mass=mass,
@@ -224,25 +228,27 @@ class ScenarioConfig:
         cfg.validate()
         return cfg
 
+    def runs(self, block: str | None = None) -> list[tuple[float, PacketShape, float]]:
+        """The (mass, shape, dt) of each run the optional ``block`` makes, in
+        order, by its run rule; for None, the runs of every block present,
+        or the packet's own run at the evolve dt when they make none."""
+        names = _OPTIONAL_BLOCKS if block is None else (block,)
+        runs = [run for name in names if getattr(self, name) is not None
+                for run in _OPTIONAL_BLOCKS[name][3](self, getattr(self, name))]
+        return runs if runs or block else [(self.mass, self.shape, self.evolve_cfg.dt)]
+
     def validate(self) -> None:
-        """Re-run module preconditions and read every amplitude table,
-        without building a packet."""
-        check_packet_preconditions(self.grid, self.shape, self.x0, self.v0, self.mass)
-        for mass in (self.masses or ()):
-            check_packet_preconditions(self.grid, self.shape, self.x0, self.v0, mass)
-        for shape in (self.shapes or ()):
-            check_packet_preconditions(self.grid, shape, self.x0, self.v0, self.mass)
+        """Re-run module preconditions and the step guards on each of
+        ``runs()``, and read every amplitude table, without building a packet."""
+        runs = self.runs()
+        for mass, shape, _ in runs:
+            check_packet_preconditions(self.grid, shape, self.x0, self.v0, mass)
         for shape in (self.shape, *(self.shapes or ())):
             if shape.kind == "custom_table":
                 _load_table(shape.table_path)
-        # the (mass, dt) pairs a command runs: the packet at the evolve dt and
-        # at each dt_list entry, and each swept mass at the evolve dt
-        dt = self.evolve_cfg.dt
-        pairs = [(self.mass, d) for d in (dt, *(self.dt_list or ()))]
-        pairs += [(m, dt) for m in (self.masses or ())]
-        for mass, step in pairs:
-            check_kinetic_phase(self.grid, mass, step)
-            check_tidal_factor(self.grid, self.tidal, mass, step)
+        for mass, _, dt in runs:
+            check_kinetic_phase(self.grid, mass, dt)
+            check_tidal_factor(self.grid, self.tidal, mass, dt)
 
     # --- builders ---------------------------------------------------------
 
@@ -269,7 +275,7 @@ class ScenarioConfig:
                        **{key: getattr(ev, key) for key in _EVOLVE_OPTIONS
                           if getattr(ev, key) is not None}},
         }
-        for name, (_, _, echo) in _OPTIONAL_BLOCKS.items():
+        for name, (_, _, echo, _) in _OPTIONAL_BLOCKS.items():
             if getattr(self, name) is not None:
                 doc[name] = echo(getattr(self, name))
         return doc

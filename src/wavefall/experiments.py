@@ -6,9 +6,9 @@ Sweep and convergence members are independent runs of one runner,
 the calling thread, so the first member that fails stops the experiment
 with its own error, the member's label prefixed to the message in place
 (``mass=200:``, ``dt=0.4:``), and the members after it never run.  Each
-reads its members from the scenario alone: the convergence study its
-``dt_list`` and ``scheme``; the mass and shape sweeps, one body ``_wep``
-under two label rules, its ``masses`` or ``shapes``.  Reports are plain
+evolves the runs of one block, the ones load guards (``ScenarioConfig.runs``):
+the study its ``dt_list``, and the mass and shape sweeps, one body ``_wep``
+under two label rules, their ``masses`` or ``shapes``.  Reports are plain
 dataclasses with ``to_dict`` for JSON serialization and a ``passed``
 verdict computed from their fields.
 """
@@ -30,7 +30,7 @@ from .errors import (
     TooFewPoints,
     TooFewVariants,
 )
-from .packets import TWO_PI, WaveFunction, _field_moments
+from .packets import TWO_PI, WaveFunction, moments
 from .propagate import (
     MomentSeries,
     StepScheme,
@@ -47,14 +47,16 @@ DEFAULT_WEP_RTOL = 1e-8
 DEFAULT_ORDER_BANDS = {StepScheme.STRANG: (1.8, 2.2), StepScheme.LIE: (0.8, 1.2)}
 
 
-def _evolve_members(scenario: ScenarioConfig, members):
-    """Build and evolve each member ``(label, packet keywords, evolve
-    config)`` in order, with the scenario's scheme, and yield its series,
-    keeping none.  The first member that fails raises its own error, the
-    label prefixed to it in place; the members after it are not built."""
-    for label, packet, cfg in members:
+def _evolve_members(scenario: ScenarioConfig, block: str, labels, evolve_cfg):
+    """Build and evolve each run ``(mass, shape, dt)`` of the scenario's
+    ``block`` in order, labelled ``labels[i]``, with the scenario's scheme
+    and ``evolve_cfg(dt)``, and yield its series, keeping none.  The first
+    member that fails raises its own error, the label prefixed to it in
+    place; the members after it are not built."""
+    for label, (mass, shape, dt) in zip(labels, scenario.runs(block)):
+        cfg = evolve_cfg(dt)
         try:
-            yield evolve(scenario.build_packet(**packet), scenario.tidal, scenario.scheme, cfg)
+            yield evolve(scenario.build_packet(mass, shape), scenario.tidal, scenario.scheme, cfg)
         except SimulationError as exc:
             exc.args = (f"{label}: {exc}",)
             raise
@@ -151,10 +153,9 @@ def ripple_check(wf: WaveFunction, tidal: TidalMatrix, dt: float) -> RippleRepor
     if edge_phase >= RIPPLE_EDGE_PHASE_LIMIT:
         raise PhaseWrapRisk(
             f"tidal phase {edge_phase:.3f} at the domain edge exceeds pi/4")
-    _, x_pre, v_pre, _ = _field_moments(wf.grid, wf.psi, wf.mass)
-    v_post = _field_moments(wf.grid, tidal_step(wf, tidal, dt).psi, wf.mass)[2]
-    measured = v_post * TWO_PI * wf.mass - v_pre * TWO_PI * wf.mass
-    predicted = -TWO_PI * wf.mass * dt * tidal.apply(x_pre)
+    _, x, v, _ = moments(wf.grid, np.stack((wf.psi, tidal_step(wf, tidal, dt).psi)), wf.mass)
+    measured = v[1] * TWO_PI * wf.mass - v[0] * TWO_PI * wf.mass
+    predicted = -TWO_PI * wf.mass * dt * tidal.apply(x[0])
     scale = float(np.linalg.norm(predicted))
     mismatch = float(np.linalg.norm(measured - predicted))
     # below the floor both sides are roundoff around zero (centered packet,
@@ -173,15 +174,14 @@ def ripple_check(wf: WaveFunction, tidal: TidalMatrix, dt: float) -> RippleRepor
 
 def _wep(scenario: ScenarioConfig, kind: str, block: str, labels,
          member_labels) -> WepReport:
-    """Sweep the packet's ``kind`` over the scenario's ``block``, an error of
-    member i labelled ``member_labels[i]``, and compare the recorded mean
-    trajectories pairwise under ``labels``."""
-    values = getattr(scenario, block) or ()
-    if len(values) < 2:
+    """Evolve the runs of the scenario's ``block``, a ``kind`` sweep, an
+    error of member i labelled ``member_labels[i]``, and compare the
+    recorded mean trajectories pairwise under ``labels``."""
+    if len(scenario.runs(block)) < 2:
         raise TooFewVariants(f"{kind} sweep needs at least two {block}")
     check_records(scenario.evolve_cfg.n_records)
-    runs = list(_evolve_members(scenario, ((label, {kind: value}, scenario.evolve_cfg)
-                                           for label, value in zip(member_labels, values))))
+    runs = list(_evolve_members(scenario, block, member_labels,
+                                lambda dt: replace(scenario.evolve_cfg, dt=dt)))
     deviations = np.zeros((len(runs), len(runs)))
     eotvos = np.zeros_like(deviations)
     for i, j in combinations(range(len(runs)), 2):
@@ -252,7 +252,7 @@ def convergence_study(scenario: ScenarioConfig) -> ConvergenceReport:
     the pass band is ``order_band``, else the scheme's default band.  The
     dt-list guards run here too: a scenario built in Python skips the loader.
     """
-    dts = tuple(float(d) for d in (scenario.dt_list or ()))
+    dts = tuple(float(dt) for _, _, dt in scenario.runs("dt_list"))
     if len(dts) < 3:
         raise TooFewPoints("convergence study needs at least three step sizes")
     if any(d <= 0 for d in dts):
@@ -262,17 +262,18 @@ def convergence_study(scenario: ScenarioConfig) -> ConvergenceReport:
             raise ConfigError(f"each dt must halve the previous one, got {a} -> {b}")
     duration = scenario.duration()
 
-    def member(dt: float) -> tuple:
+    def evolve_cfg(dt: float):
         n = round(duration / dt)
         if abs(n * dt - duration) > 1e-9:
             raise ConfigError(f"duration {duration} is not a multiple of dt={dt}")
-        return (f"dt={dt:g}", {}, replace(scenario.evolve_cfg, dt=dt, n_steps=n, record_every=1))
+        return replace(scenario.evolve_cfg, dt=dt, n_steps=n, record_every=1)
 
     def error(series: MomentSeries) -> float:
         return match_metric(series, exact_flow(scenario.x0, scenario.v0, scenario.tidal,
                                                series.t))
 
-    errors = tuple(map(error, _evolve_members(scenario, map(member, dts))))
+    labels = map("dt={:g}".format, dts)
+    errors = tuple(map(error, _evolve_members(scenario, "dt_list", labels, evolve_cfg)))
     slope = float(np.polyfit(np.log(dts), np.log(errors), 1)[0])
     return ConvergenceReport(scheme=scenario.scheme.value, dts=dts, errors=errors, order=slope,
                              band=scenario.order_band or DEFAULT_ORDER_BANDS[scenario.scheme])

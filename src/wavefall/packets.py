@@ -279,11 +279,12 @@ def make_packet(grid: SpectralGrid, shape: PacketShape, x0, v0, mass: float) -> 
     x_err = float(np.max(np.abs(x - x0)))
     v_err = float(np.max(np.abs(v - v0)))
     if x_err > MOMENT_TOL or v_err > MOMENT_TOL:
-        cause = (f"table rows land on their nearest nodes: grid mean {x[0]:.12g}, x0 {x0[0]:.12g}"
-                 if table and x_err > MOMENT_TOL >= v_err
-                 else "packet support too close to the domain edge or wavenumber cap")
-        raise InitialMomentMismatch(
-            f"constructed moments off target: |dx|={x_err:.3e}, |dv|={v_err:.3e} ({cause})")
+        causes = ([f"table rows land on their nearest nodes: grid mean {x[0]:.12g}, x0 {x0[0]:.12g}"]
+                  if table and x_err > MOMENT_TOL else [])
+        if v_err > MOMENT_TOL or not causes:
+            causes.append("packet support too close to the domain edge or wavenumber cap")
+        raise InitialMomentMismatch(f"constructed moments off target: |dx|={x_err:.3e}, "
+                                    f"|dv|={v_err:.3e} ({'; '.join(causes)})")
     return wf
 
 

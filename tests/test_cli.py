@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wavefall import (BoundaryContact, ConfigError, ScenarioConfig, StepTooLarge, evolve,
-                      exact_flow, load_scenario)
+from wavefall import (BoundaryContact, ConfigError, ScenarioConfig, SimulationError,
+                      StepTooLarge, evolve, exact_flow, load_scenario)
 from wavefall.cli import main
+from wavefall.propagate import check_kinetic_phase
 
 
 def base_doc(**overrides):
@@ -497,13 +498,16 @@ class TestConvergeCommand:
 
 
 class TestStepGuardsAtLoad:
-    # a config is checked at the (mass, dt) pairs its commands run: the
-    # packet mass at the evolve dt and at each dt_list entry, and each swept
-    # mass at the evolve dt.  At N=512 the kinetic phase per step is
-    # 514.7 dt / mass, pi at dt=0.4 for mass 65.5
+    # load checks exactly the (mass, shape, dt) runs the command makes,
+    # each optional block's by its run rule (ScenarioConfig.runs): each swept
+    # mass and each swept shape at the evolve dt, and the packet at each
+    # dt_list entry; the packet itself, at the evolve dt, only when no block
+    # makes a run.  At N=512 the kinetic phase per step is 514.7 dt / mass,
+    # pi at dt=0.4 for mass 65.5
+    CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
     def base(self):
-        configs = Path(__file__).resolve().parent.parent / "configs"
-        return json.loads((configs / "converge_strang_1d.json").read_text())
+        return json.loads((self.CONFIGS / "converge_strang_1d.json").read_text())
 
     def test_swept_mass_is_not_checked_at_dt_list(self, tmp_path):
         # converge runs only the packet mass; (50, 0.4) is no pair it runs
@@ -528,6 +532,49 @@ class TestStepGuardsAtLoad:
             f"StepTooLarge: kinetic phase per step {phase} >= pi; "
             "reduce dt or raise mass/resolution\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("name,command,block,changes", [
+        # converge runs only its dt_list (0.4 to 0.05): the evolve dt sets the
+        # duration, 196 steps of 0.8 the shipped 156.8 (kinetic phase 4.118)
+        ("converge_strang_1d.json", "converge", "evolve", {"dt": 0.8, "steps": 196}),
+        # the mass sweep never evolves the packet's mass 10 (11.581 on N=768)
+        ("wep_mass_1d.json", "wep", "packet", {"mass": 10}),
+        # the shape sweep never builds the packet's own shape (width 3 > L/8)
+        ("wep_shapes_1d.json", "wep", "packet", {"params": [3.0]})])
+    def test_a_run_the_command_does_not_make_is_not_checked(self, tmp_path, name, command,
+                                                            block, changes):
+        doc = json.loads((self.CONFIGS / name).read_text())
+        doc[block].update(changes)
+        config, out, want = write(tmp_path, doc), tmp_path / "out.json", tmp_path / "want.json"
+        assert main([command, "--config", config, "--out", str(out)]) == 0
+        assert main([command, "--config", str(self.CONFIGS / name), "--out", str(want)]) == 0
+        assert json.loads(out.read_text())["report"] == json.loads(want.read_text())["report"]
+        # run makes the packet's own run, so it still refuses the document
+        with pytest.raises(SimulationError):
+            load_scenario(config, "run")
+
+    @pytest.mark.parametrize("name", sorted(
+        path.name for path in CONFIGS.glob("*.json") if not path.name.startswith("ripple")))
+    def test_load_guards_exactly_the_runs_the_command_makes(self, tmp_path, monkeypatch, name):
+        # ripple evolves nothing, so it has no evolve calls to compare
+        prefix = name.split("_")[0]
+        command = prefix if prefix in ("wep", "converge") else "run"
+        guarded, evolved = [], []
+
+        def guard(grid, mass, dt):
+            guarded.append((mass, dt))
+            check_kinetic_phase(grid, mass, dt)
+
+        def capture(wf, tidal, scheme, cfg):
+            evolved.append((wf.mass, cfg.dt))
+            return evolve(wf, tidal, scheme, cfg)
+
+        monkeypatch.setattr("wavefall.config.check_kinetic_phase", guard)
+        for module in ("experiments", "cli"):
+            monkeypatch.setattr(f"wavefall.{module}.evolve", capture)
+        assert main([command, "--config", str(self.CONFIGS / name),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert evolved and guarded == evolved
 
 
 class TestCommandBlocks:

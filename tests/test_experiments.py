@@ -167,10 +167,13 @@ class TestWepSweeps:
             PacketShape.gaussian(1.0), PacketShape.from_table(str(table))))
         with pytest.raises(InitialMomentMismatch) as info:
             wep_shape_sweep(scenario)
-        assert "custom_table" in str(info.value)
-        # it misses on velocity too, so the text keeps the analytic cause
-        assert str(info.value).endswith("(packet support too close to the domain edge "
-                                        "or wavenumber cap)")
+        # it misses on position and on velocity, so the text names both
+        # causes, the node rule first
+        assert str(info.value) == (
+            "shape[1]=custom_table: constructed moments off target: |dx|=1.928e-05, "
+            "|dv|=2.560e-03 (table rows land on their nearest nodes: grid mean "
+            "2.00001927693, x0 2; packet support too close to the domain edge or "
+            "wavenumber cap)")
 
 
 class TestSerialSweep:
