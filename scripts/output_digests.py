@@ -126,7 +126,18 @@ VARIANTS = (
     # ... the mass sweep never evolves the packet's own mass 10 ...
     ("wep", "mass", (("packet", "mass", 10),)),
     # ... and the shape sweep never builds the packet's own shape, too wide
-    ("wep", "shapes", (("packet", "params", [3.0]),)))
+    ("wep", "shapes", (("packet", "params", [3.0]),)),
+    # exit 0 with the shipped report: nor does it read the packet's
+    # amplitude table, here at a path that cannot exist
+    ("wep", "shapes", (("packet", "shape", "custom_table"), ("packet", "params", []),
+                       ("packet", "table", "/nonexistent/wavefall-table.csv"))),
+    # exit 2, two faults: load checks each run in run order, its packet then
+    # its step guards, so shape[0] fails its step guard at the evolve dt 0.8
+    # (StepTooLarge) before the too-wide shape[1] is checked
+    ("wep", "shapes", (("evolve", "dt", 0.8),
+                       (None, "shapes", [{"shape": "gaussian", "params": [1.0]},
+                                         {"shape": "skewed_gaussian", "params": [3.0, 1.0]},
+                                         {"shape": "double_peak", "params": [0.7, 1.2]}]))))
 
 
 def scenarios() -> list[tuple[str, Path]]:

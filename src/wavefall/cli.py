@@ -8,7 +8,7 @@
 Exit codes: 0 success/pass, 1 ran-but-failed (a pass/fail command whose
 report's ``passed`` came out False), 2 validation error (an unreadable
 config, an ``--out`` with no directory to go into, naming a directory, or
-naming the config or an amplitude table it reads, and a failed write of
+naming the config or an amplitude table it names, and a failed write of
 the output included), 3 runtime abort (a monitor
 tripped: BoundaryContact for mass in the position margin band, or
 SpectralEdgeContact for mass at the Nyquist edge when
@@ -100,18 +100,20 @@ def _report(command: str, scenario: ScenarioConfig):
 
 def _check_out(path: str, config: str, scenario: ScenarioConfig) -> None:
     """Fail before any work when ``path`` cannot be written as a file, or
-    is the config file or an amplitude table the scenario reads, which the
-    output would overwrite."""
+    is the config file or an amplitude table the document names, read or
+    not (the packet's or a kept shape's): the output would overwrite it."""
     out = Path(path)
     if not out.parent.is_dir():
         raise ConfigError(f"output directory {str(out.parent)!r} does not exist")
+    if not out.exists():
+        return
     if out.is_dir():
         raise ConfigError(f"output path {path!r} is a directory")
-    if out.exists() and out.samefile(config):
+    if out.samefile(config):
         raise ConfigError(f"output path {path!r} is the config file")
-    for shape in (scenario.shape, *(scenario.shapes or ())):
-        if shape.table_path is not None and out.exists() and out.samefile(shape.table_path):
-            raise ConfigError(f"output path {path!r} is the amplitude table {shape.table_path!r}")
+    for table in (shape.table_path for shape in (scenario.shape, *(scenario.shapes or ()))):
+        if table is not None and Path(table).exists() and out.samefile(table):
+            raise ConfigError(f"output path {path!r} is the amplitude table {table!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -5,11 +5,12 @@ settings; sweep-style experiments add ``masses``, ``shapes`` or ``dt_list``
 blocks.  Each opt-in key is one entry in its table: an optional evolve key
 in ``_EVOLVE_OPTIONS``, an optional block, with the command that reads it
 and its run rule, in ``_OPTIONAL_BLOCKS``.  Loading for a command keeps only
-the blocks it reads (every block is parsed for form, the others dropped),
-re-validates every module precondition and step guard on exactly the runs
-it makes (``runs()``) and reads every amplitude table of what is kept, so a
-bad document fails before any packet is built; every number must be
-finite, and unknown keys are rejected everywhere.
+the blocks it reads (every block is parsed for form, the others dropped)
+and checks each run it makes (``runs()``) in order, as that run checks
+itself: its packet with its amplitude table, then its step guards.  A bad
+document fails with its first bad run's error before any packet is built,
+and a table no run builds is not read; every number must be finite, and
+unknown keys are rejected everywhere.
 ``resolved()`` returns the full document with defaults materialized (an
 opt-in key appears only when set); every CSV/JSON the CLI writes embeds it.
 """
@@ -25,7 +26,7 @@ import numpy as np
 from .classical import ClassicalState
 from .curvature import TidalMatrix
 from .errors import ConfigError
-from .packets import PacketShape, _load_table, check_packet_preconditions, make_packet
+from .packets import PacketShape, check_packet_preconditions, make_packet
 from .propagate import EvolveConfig, StepScheme, check_kinetic_phase, check_tidal_factor
 from .spectral import SpectralGrid
 
@@ -238,15 +239,10 @@ class ScenarioConfig:
         return runs if runs or block else [(self.mass, self.shape, self.evolve_cfg.dt)]
 
     def validate(self) -> None:
-        """Re-run module preconditions and the step guards on each of
-        ``runs()``, and read every amplitude table, without building a packet."""
-        runs = self.runs()
-        for mass, shape, _ in runs:
+        """Check each of ``runs()`` in order, as ``make_packet`` and ``evolve``
+        will: its packet, amplitude table included, then its step guards."""
+        for mass, shape, dt in self.runs():
             check_packet_preconditions(self.grid, shape, self.x0, self.v0, mass)
-        for shape in (self.shape, *(self.shapes or ())):
-            if shape.kind == "custom_table":
-                _load_table(shape.table_path)
-        for mass, _, dt in runs:
             check_kinetic_phase(self.grid, mass, dt)
             check_tidal_factor(self.grid, self.tidal, mass, dt)
 

@@ -16,7 +16,7 @@ verdict computed from their fields.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import combinations, repeat
 
 import numpy as np
 
@@ -47,14 +47,13 @@ DEFAULT_WEP_RTOL = 1e-8
 DEFAULT_ORDER_BANDS = {StepScheme.STRANG: (1.8, 2.2), StepScheme.LIE: (0.8, 1.2)}
 
 
-def _evolve_members(scenario: ScenarioConfig, block: str, labels, evolve_cfg):
+def _evolve_members(scenario: ScenarioConfig, block: str, labels, cfgs):
     """Build and evolve each run ``(mass, shape, dt)`` of the scenario's
     ``block`` in order, labelled ``labels[i]``, with the scenario's scheme
-    and ``evolve_cfg(dt)``, and yield its series, keeping none.  The first
-    member that fails raises its own error, the label prefixed to it in
-    place; the members after it are not built."""
-    for label, (mass, shape, dt) in zip(labels, scenario.runs(block)):
-        cfg = evolve_cfg(dt)
+    and ``cfgs[i]``, its EvolveConfig at that dt, and yield its series,
+    keeping none.  The first member that fails raises its own error, the
+    label prefixed to it in place; the members after it are not built."""
+    for label, cfg, (mass, shape, _) in zip(labels, cfgs, scenario.runs(block)):
         try:
             yield evolve(scenario.build_packet(mass, shape), scenario.tidal, scenario.scheme, cfg)
         except SimulationError as exc:
@@ -180,8 +179,7 @@ def _wep(scenario: ScenarioConfig, kind: str, block: str, labels,
     if len(scenario.runs(block)) < 2:
         raise TooFewVariants(f"{kind} sweep needs at least two {block}")
     check_records(scenario.evolve_cfg.n_records)
-    runs = list(_evolve_members(scenario, block, member_labels,
-                                lambda dt: replace(scenario.evolve_cfg, dt=dt)))
+    runs = list(_evolve_members(scenario, block, member_labels, repeat(scenario.evolve_cfg)))
     deviations = np.zeros((len(runs), len(runs)))
     eotvos = np.zeros_like(deviations)
     for i, j in combinations(range(len(runs)), 2):
@@ -248,7 +246,8 @@ def convergence_study(scenario: ScenarioConfig) -> ConvergenceReport:
     Each run covers the scenario duration with its own dt and otherwise the
     scenario's evolve settings, monitors included; its error is the
     max-deviation from the closed-form classical flow at its own record
-    stamps.  Runs go in the order of ``dt_list``, one series held at a time;
+    stamps.  Every run's settings, its step count included, are fixed before
+    any run; runs go in the order of ``dt_list``, one series held at a time;
     the pass band is ``order_band``, else the scheme's default band.  The
     dt-list guards run here too: a scenario built in Python skips the loader.
     """
@@ -262,7 +261,7 @@ def convergence_study(scenario: ScenarioConfig) -> ConvergenceReport:
             raise ConfigError(f"each dt must halve the previous one, got {a} -> {b}")
     duration = scenario.duration()
 
-    def evolve_cfg(dt: float):
+    def member_cfg(dt: float):
         n = round(duration / dt)
         if abs(n * dt - duration) > 1e-9:
             raise ConfigError(f"duration {duration} is not a multiple of dt={dt}")
@@ -272,8 +271,8 @@ def convergence_study(scenario: ScenarioConfig) -> ConvergenceReport:
         return match_metric(series, exact_flow(scenario.x0, scenario.v0, scenario.tidal,
                                                series.t))
 
-    labels = map("dt={:g}".format, dts)
-    errors = tuple(map(error, _evolve_members(scenario, "dt_list", labels, evolve_cfg)))
+    labels, cfgs = map("dt={:g}".format, dts), [member_cfg(dt) for dt in dts]
+    errors = tuple(map(error, _evolve_members(scenario, "dt_list", labels, cfgs)))
     slope = float(np.polyfit(np.log(dts), np.log(errors), 1)[0])
     return ConvergenceReport(scheme=scenario.scheme.value, dts=dts, errors=errors, order=slope,
                              band=scenario.order_band or DEFAULT_ORDER_BANDS[scenario.scheme])

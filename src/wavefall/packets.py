@@ -188,10 +188,11 @@ def _boost(grid: SpectralGrid, psi: np.ndarray, mass: float, v: np.ndarray) -> n
 
 # --- construction ----------------------------------------------------------
 
-def check_packet_preconditions(grid: SpectralGrid, shape: PacketShape,
-                               x0, v0, mass: float) -> None:
+def check_packet_preconditions(grid: SpectralGrid, shape: PacketShape, x0, v0,
+                               mass: float) -> tuple[np.ndarray, np.ndarray] | None:
     """Support and wavenumber-budget guards, shared with config validation;
-    a tabulated shape must be one-dimensional."""
+    a tabulated shape must be one-dimensional, and its table is read here:
+    its rows ``(positions, amplitudes)``, or None for an analytic shape."""
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     v0 = np.asarray(v0, dtype=float).reshape(-1)
     if x0.size != grid.dim or v0.size != grid.dim:
@@ -211,7 +212,7 @@ def check_packet_preconditions(grid: SpectralGrid, shape: PacketShape,
     if sigma is None:
         if grid.dim != 1:
             raise ConfigError("custom_table packets are one-dimensional")
-        return
+        return _load_table(shape.table_path)
     if np.any(sigma > L / 8.0):
         raise PacketTooWide(f"width {sigma.max():.3g} exceeds L/8 = {L / 8:.3g}")
     if np.max(np.abs(x0)) > L / 4.0:
@@ -221,6 +222,7 @@ def check_packet_preconditions(grid: SpectralGrid, shape: PacketShape,
             f"k0 + 4/sigma = {k0 + 4.0 / sigma.min():.3g} exceeds k_max = {grid.k_max:.3g}")
     if shape.kind == "double_peak" and 2.0 * shape.tail_param >= L / 4.0:
         raise PacketTooWide(f"peak separation {2 * shape.tail_param:.3g} must stay below L/4")
+    return None
 
 
 def make_packet(grid: SpectralGrid, shape: PacketShape, x0, v0, mass: float) -> WaveFunction:
@@ -235,18 +237,15 @@ def make_packet(grid: SpectralGrid, shape: PacketShape, x0, v0, mass: float) -> 
     InitialMomentMismatch names the grid mean reached.  A denser table
     reaches some offsets between nodes, not all of them.
     """
-    check_packet_preconditions(grid, shape, x0, v0, mass)
+    rows = check_packet_preconditions(grid, shape, x0, v0, mass)
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     v0 = np.asarray(v0, dtype=float).reshape(-1)
     speed = float(np.linalg.norm(v0))
-
-    table = shape.kind == "custom_table"
-    if table:
-        positions, amplitudes = _load_table(shape.table_path)
+    table = rows is not None
 
     def build(center: np.ndarray) -> np.ndarray:
         if table:
-            return _table_envelope(grid, positions, amplitudes, center[0])
+            return _table_envelope(grid, *rows, center[0])
         return _envelope(grid, shape, center)
 
     # a table is shifted from where it stands, an analytic envelope from x0

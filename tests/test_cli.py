@@ -2,13 +2,15 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wavefall import (BoundaryContact, ConfigError, ScenarioConfig, SimulationError,
-                      StepTooLarge, evolve, exact_flow, load_scenario)
+from wavefall import (BoundaryContact, ConfigError, PacketShape, ScenarioConfig,
+                      SimulationError, StepTooLarge, evolve, exact_flow, load_scenario,
+                      wep_shape_sweep)
 from wavefall.cli import main
 from wavefall.propagate import check_kinetic_phase
 
@@ -540,18 +542,47 @@ class TestStepGuardsAtLoad:
         # the mass sweep never evolves the packet's mass 10 (11.581 on N=768)
         ("wep_mass_1d.json", "wep", "packet", {"mass": 10}),
         # the shape sweep never builds the packet's own shape (width 3 > L/8)
-        ("wep_shapes_1d.json", "wep", "packet", {"params": [3.0]})])
+        ("wep_shapes_1d.json", "wep", "packet", {"params": [3.0]}),
+        # ... and so never reads the packet's amplitude table, here missing
+        ("wep_shapes_1d.json", "wep", "packet",
+         {"shape": "custom_table", "params": [], "table": "/nonexistent/wavefall-table.csv"})])
     def test_a_run_the_command_does_not_make_is_not_checked(self, tmp_path, name, command,
                                                             block, changes):
         doc = json.loads((self.CONFIGS / name).read_text())
         doc[block].update(changes)
         config, out, want = write(tmp_path, doc), tmp_path / "out.json", tmp_path / "want.json"
+        # an --out that exists is compared with every table the document
+        # names, a missing one that no run reads included, and overwritten
+        out.write_text("an earlier report\n")
         assert main([command, "--config", config, "--out", str(out)]) == 0
         assert main([command, "--config", str(self.CONFIGS / name), "--out", str(want)]) == 0
         assert json.loads(out.read_text())["report"] == json.loads(want.read_text())["report"]
         # run makes the packet's own run, so it still refuses the document
         with pytest.raises(SimulationError):
             load_scenario(config, "run")
+
+    def test_load_raises_the_error_of_the_first_bad_run(self, tmp_path, capsys):
+        # two faults: the evolve dt 0.8 fails every run's step guard (kinetic
+        # phase 4.118), and shapes[1] is too wide (width 3 > L/8).  Load
+        # checks each run in run order, packet then step guards, as the runs
+        # check themselves: shape[0] fails its step guard first
+        name = "wep_shapes_1d.json"
+        doc = json.loads((self.CONFIGS / name).read_text())
+        doc["evolve"]["dt"] = 0.8
+        doc["shapes"][1]["params"] = [3.0, 1.0]
+        out = tmp_path / "out.json"
+        assert main(["wep", "--config", write(tmp_path, doc), "--out", str(out)]) == 2
+        line = "kinetic phase per step 4.118 >= pi; reduce dt or raise mass/resolution"
+        assert capsys.readouterr().err == f"StepTooLarge: {line}\n"
+        assert not out.exists()
+        # the same scenario built without load fails the same way, labelled
+        shipped = load_scenario(self.CONFIGS / name, "wep")
+        shapes = (shipped.shapes[0], PacketShape.skewed_gaussian(3.0, 1.0), shipped.shapes[2])
+        unloaded = replace(shipped, evolve_cfg=replace(shipped.evolve_cfg, dt=0.8),
+                           shapes=shapes)
+        with pytest.raises(StepTooLarge) as caught:
+            wep_shape_sweep(unloaded)
+        assert str(caught.value) == f"shape[0]=gaussian: {line}"
 
     @pytest.mark.parametrize("name", sorted(
         path.name for path in CONFIGS.glob("*.json") if not path.name.startswith("ripple")))
@@ -794,11 +825,15 @@ class TestUnusablePaths:
         assert Path(config).read_bytes() == before
 
     # an --out naming an amplitude table the command reads would overwrite
-    # it, and the next load would fail on the table
-    @pytest.mark.parametrize("command", ["run", "wep"])
+    # it, and the next load would fail on the table.  A shape sweep does not
+    # read its packet's table, but the same document under run does, so that
+    # table is refused too
+    @pytest.mark.parametrize("command,table_of", [
+        pytest.param("run", "packet", id="run"), pytest.param("wep", "shapes", id="wep"),
+        pytest.param("wep", "packet", id="wep-packet")])
     @pytest.mark.parametrize("form", ["same", "symlink"])
     def test_out_naming_a_table_exits_2_and_keeps_it(self, tmp_path, capsys, monkeypatch,
-                                                     command, form):
+                                                     command, table_of, form):
         import wavefall.cli as cli
         calls = []
         monkeypatch.setattr(ScenarioConfig, "build_packet",
@@ -806,11 +841,11 @@ class TestUnusablePaths:
         monkeypatch.setattr(cli, "evolve", lambda *a, **k: calls.append("evolve"))
         monkeypatch.setattr(cli, "_report", lambda *a, **k: calls.append("report"))
         table = write_table(tmp_path / "t.csv")
-        if command == "run":
-            doc = table_doc(table)
-        else:
-            doc = base_doc(shapes=[{"shape": "gaussian", "params": [1.0]},
-                                   {"shape": "custom_table", "table": table}])
+        doc = table_doc(table) if table_of == "packet" else base_doc()
+        if command == "wep":
+            doc["shapes"] = [{"shape": "gaussian", "params": [1.0]},
+                             {"shape": "custom_table", "table": table} if table_of == "shapes"
+                             else {"shape": "skewed_gaussian", "params": [1.0, 1.0]}]
         before = Path(table).read_bytes()
         out = tmp_path / "link.csv"
         if form == "same":

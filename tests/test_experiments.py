@@ -344,12 +344,21 @@ class TestConvergence:
         with pytest.raises(ConfigError, match="^dt_list entries must be positive"):
             convergence_study(std_scenario(n_steps=784, dt_list=dts))
 
-    def test_duration_not_a_multiple_of_dt_raises_before_any_member(self, monkeypatch):
+    @pytest.mark.parametrize("n_steps,dts,message", [
         # 785 steps of 0.1 is 78.5, which 0.4 does not divide
+        pytest.param(785, (0.4, 0.2, 0.1), r"^duration 78\.5 is not a multiple of dt=0\.4$",
+                     id="first-dt"),
+        # 0.2000000001 passes the halving check, whose tolerance is 1e-9, but
+        # does not divide 78.4: every member's settings are fixed before the
+        # first runs, so the dt=0.4 member is not evolved either
+        pytest.param(784, (0.4, 0.2000000001, 0.1),
+                     r"^duration 78\.4 is not a multiple of dt=0\.2000000001$", id="later-dt")])
+    def test_duration_not_a_multiple_of_dt_raises_before_any_member(self, monkeypatch,
+                                                                     n_steps, dts, message):
         calls = []
         monkeypatch.setattr(experiments, "evolve", lambda *a, **k: calls.append("evolve"))
-        with pytest.raises(ConfigError, match=r"^duration 78\.5 is not a multiple of dt=0\.4$"):
-            convergence_study(std_scenario(n_steps=785, dt_list=(0.4, 0.2, 0.1)))
+        with pytest.raises(ConfigError, match=message):
+            convergence_study(std_scenario(n_steps=n_steps, dt_list=dts))
         assert calls == []
 
     def test_strang_order_two(self):
