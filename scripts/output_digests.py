@@ -137,7 +137,15 @@ VARIANTS = (
     ("wep", "shapes", (("evolve", "dt", 0.8),
                        (None, "shapes", [{"shape": "gaussian", "params": [1.0]},
                                          {"shape": "skewed_gaussian", "params": [3.0, 1.0]},
-                                         {"shape": "double_peak", "params": [0.7, 1.2]}]))))
+                                         {"shape": "double_peak", "params": [0.7, 1.2]}]))),
+    # load checks only the steps a run takes: exit 0, ripple's one tidal kick
+    # has no kinetic step, so mass 10 at dt 0.5 (kinetic phase 6.434) passes
+    ("ripple", "1d", (("packet", "mass", 10), ("evolve", "dt", 0.5))),
+    # exit 2 with the command's own error, not StepTooLarge at the evolve dt
+    # 5.0: wep with no sweep block makes no run (ConfigError) ...
+    ("wep", "1d", (("evolve", "dt", 5.0),)),
+    # ... nor does converge with no dt_list (TooFewPoints)
+    ("converge", "1d", (("evolve", "dt", 5.0),)))
 
 
 def scenarios() -> list[tuple[str, Path]]:

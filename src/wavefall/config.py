@@ -7,7 +7,7 @@ in ``_EVOLVE_OPTIONS``, an optional block, with the command that reads it
 and its run rule, in ``_OPTIONAL_BLOCKS``.  Loading for a command keeps only
 the blocks it reads (every block is parsed for form, the others dropped)
 and checks each run it makes (``runs()``) in order, as that run checks
-itself: its packet with its amplitude table, then its step guards.  A bad
+itself: its packet with its amplitude table, then its steps' guards.  A bad
 document fails with its first bad run's error before any packet is built,
 and a table no run builds is not read; every number must be finite, and
 unknown keys are rejected everywhere.
@@ -226,7 +226,8 @@ class ScenarioConfig:
                   if command in (None, _OPTIONAL_BLOCKS[name][0])}
         cfg = cls(grid=grid, tidal=tidal, shape=shape, x0=x0, v0=v0, mass=mass,
                   evolve_cfg=evolve_cfg, scheme=scheme, **blocks)
-        cfg.validate()
+        # wep and converge make only their blocks' runs; ripple takes no kinetic step
+        cfg.validate(own_run=command not in ("wep", "converge"), kinetic=command != "ripple")
         return cfg
 
     def runs(self, block: str | None = None) -> list[tuple[float, PacketShape, float]]:
@@ -238,12 +239,17 @@ class ScenarioConfig:
                 for run in _OPTIONAL_BLOCKS[name][3](self, getattr(self, name))]
         return runs if runs or block else [(self.mass, self.shape, self.evolve_cfg.dt)]
 
-    def validate(self) -> None:
+    def validate(self, own_run: bool = True, kinetic: bool = True) -> None:
         """Check each of ``runs()`` in order, as ``make_packet`` and ``evolve``
-        will: its packet, amplitude table included, then its step guards."""
-        for mass, shape, dt in self.runs():
+        will: its packet, amplitude table included, then its step guards.
+        Without ``own_run`` the packet's own run, made when no block makes
+        one, is not checked, and without ``kinetic`` no kinetic phase is."""
+        runs = self.runs() if own_run else [run for name in _OPTIONAL_BLOCKS
+                                            for run in self.runs(name)]
+        for mass, shape, dt in runs:
             check_packet_preconditions(self.grid, shape, self.x0, self.v0, mass)
-            check_kinetic_phase(self.grid, mass, dt)
+            if kinetic:
+                check_kinetic_phase(self.grid, mass, dt)
             check_tidal_factor(self.grid, self.tidal, mass, dt)
 
     # --- builders ---------------------------------------------------------

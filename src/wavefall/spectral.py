@@ -25,7 +25,7 @@ Python frame.
 
 On a field of at least ``SPLIT_CELLS`` cells, when the process may run on
 two CPUs, ``transform`` runs each axis pass as two ufunc calls, one per
-half of another axis: one on a worker thread, started by the first such
+half of another axis: one on the pool's thread, made by the first such
 pass, and one on the caller.  pocketfft transforms every line on its own,
 with the same arithmetic whichever call and SIMD lane holds it, so the
 split keeps every bit.  A 1D field has no other axis and never splits.
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -51,31 +50,13 @@ fft_ufunc = _pocketfft_umath.fft
 ifft_ufunc = _pocketfft_umath.ifft
 
 # a field of at least this many cells (a 32^3 or a 182^2 field) splits each
-# axis pass in two.  Below it the handoff to the worker costs about what the
+# axis pass in two.  Below it the handoff to the pool costs about what the
 # second CPU saves (2-CPU x86-64, numpy 2.4: a 128^2 in-place transform took
 # 188 us serial and 197 us split, a 32^3 one 783 and 524 us); a 1D record
 # stack holds at most 8,192 cells
 SPLIT_CELLS = 2 ** 15
-# the split's worker thread and its job queue; None until the first split
-_worker = _jobs = None
-
-
-def _run(ufunc, args, kwargs, done) -> None:
-    """One job: call ``ufunc`` and put what it raised, or None, on ``done``."""
-    error = None
-    try:
-        ufunc(*args, **kwargs)
-    except Exception as exc:  # raised again by the caller
-        error = exc
-    finally:
-        done.put(error)
-
-
-def _serve(jobs) -> None:
-    # a job's arrays die with _run's frame, so an idle worker holds no
-    # caller's buffer alive
-    while True:
-        _run(*jobs.get())
+# the split's one-thread pool and the pid that made it; None until the first split
+_pool = _pool_pid = None
 
 
 def _cpus() -> int:
@@ -90,34 +71,30 @@ def _split_pass(ufunc, field: np.ndarray, scale: float, ax: int,
                 out: np.ndarray) -> None:
     """``ufunc(field, scale, axes=[(ax,), (), (ax,)], out=out)`` as two calls
     over the halves of the longest other axis (the outermost on a tie), the
-    second half on the worker and the first on the caller.  Returns when
-    both halves are written; an error of either call is raised here, the
-    caller's first.
+    second half on the pool's thread and the first on the caller.  Returns
+    when both halves are written; an error of either call is raised here,
+    the caller's first.
 
-    The first split starts the worker as a daemon thread, so it never keeps
-    the interpreter from exiting.  A forked child has no copy of that
-    thread, which reads there as not alive, so its first split starts its
-    own."""
-    global _worker, _jobs
+    The first split in a process makes the pool, a ``ThreadPoolExecutor``
+    of one thread, which drops each job once it has run, so an idle pool
+    holds no caller's array.  A forked child has no copy of the parent's
+    thread, so its first split makes its own pool."""
+    global _pool, _pool_pid
     other = max((a for a in range(field.ndim) if a != ax), key=lambda a: field.shape[a])
     h = field.shape[other] // 2
     lo = (slice(None),) * other + (slice(0, h),)
     hi = (slice(None),) * other + (slice(h, None),)
     axes = [(ax,), (), (ax,)]
-    # imported here, so that a process that never splits (every 1D run)
-    # does not load it
-    from queue import SimpleQueue
-    if _worker is None or not _worker.is_alive():
-        _jobs = SimpleQueue()
-        _worker = threading.Thread(target=_serve, args=(_jobs,), name="wavefall-transform",
-                                   daemon=True)
-        _worker.start()
-    done = SimpleQueue()
-    _jobs.put((ufunc, (field[hi], scale), {"axes": axes, "out": out[hi]}, done))
+    if _pool_pid != os.getpid():
+        # imported here, so that a process that never splits (every 1D run)
+        # does not load it
+        from concurrent.futures import ThreadPoolExecutor
+        _pool, _pool_pid = ThreadPoolExecutor(1, "wavefall-transform"), os.getpid()
+    half = _pool.submit(ufunc, field[hi], scale, axes=axes, out=out[hi])
     try:
         ufunc(field[lo], scale, axes=axes, out=out[lo])
     finally:
-        error = done.get()
+        error = half.exception()
     if error is not None:
         raise error
 
@@ -259,7 +236,7 @@ def transform(field: np.ndarray, out: np.ndarray | None = None,
 
     A field of at least ``SPLIT_CELLS`` cells with two or more axes, on a
     process allowed two CPUs, runs each pass in two halves of another axis,
-    one on the worker thread (``_split_pass``).  Each line is still
+    one on the pool's thread (``_split_pass``).  Each line is still
     transformed alone, by a pocketfft plan of the same length, so the bits
     are the same.
     """

@@ -179,8 +179,9 @@ def moment_map(wf, r, dt, n_steps, every, scheme):
     S m and the covariance C to S C S^T, for any envelope.  S is velocity
     Verlet for Strang (half kick, drift, half kick) and drift then kick for
     Lie.  The initial moments come from numpy's fftn of ``wf`` and full-mesh
-    sums; Sigma_xv starts at 0, as it does for a real envelope times a
-    plane wave.
+    sums; Sigma_xv is Re<(x - <x>)(k - <k>)> / (2 pi mass) of the state,
+    with k psi the spectral derivative -i d psi/dx, so a chirped envelope
+    starts with its own.
     """
     grid, d = wf.grid, wf.grid.dim
     k = 2.0 * np.pi / grid.extent * (np.fft.fftfreq(grid.n) * grid.n)
@@ -192,11 +193,15 @@ def moment_map(wf, r, dt, n_steps, every, scheme):
               for j, b in enumerate(meshes)] for i, a in enumerate(meshes)]
         return mean, np.array(c)
 
-    mx, cxx = central(grid.position_meshes, np.abs(wf.psi) ** 2)
-    mk, ckk = central(k_meshes, np.abs(np.fft.fftn(wf.psi)) ** 2)
+    psi, spectrum = wf.psi, np.fft.fftn(wf.psi)
+    mx, cxx = central(grid.position_meshes, np.abs(psi) ** 2)
+    mk, ckk = central(k_meshes, np.abs(spectrum) ** 2)
+    dk = [np.fft.ifftn(km * spectrum) - mk[j] * psi for j, km in enumerate(k_meshes)]
+    cxk = np.array([[np.real(np.conj(psi) * (xm - mx[i]) * dk[j]).sum() for j in range(d)]
+                    for i, xm in enumerate(grid.position_meshes)]) / (np.abs(psi) ** 2).sum()
     to_v = 2.0 * np.pi * wf.mass
     m = np.concatenate([mx, mk / to_v])
-    c = np.block([[cxx, np.zeros((d, d))], [np.zeros((d, d)), ckk / to_v ** 2]])
+    c = np.block([[cxx, cxk / to_v], [cxk.T / to_v, ckk / to_v ** 2]])
 
     eye, zero = np.eye(d), np.zeros((d, d))
     r = np.asarray(r, dtype=float).reshape(d, d)

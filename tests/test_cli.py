@@ -503,9 +503,10 @@ class TestStepGuardsAtLoad:
     # load checks exactly the (mass, shape, dt) runs the command makes,
     # each optional block's by its run rule (ScenarioConfig.runs): each swept
     # mass and each swept shape at the evolve dt, and the packet at each
-    # dt_list entry; the packet itself, at the evolve dt, only when no block
-    # makes a run.  At N=512 the kinetic phase per step is 514.7 dt / mass,
-    # pi at dt=0.4 for mass 65.5
+    # dt_list entry; the packet itself, at the evolve dt, only for run and
+    # ripple, which read no block.  Each run's step guards are those of the
+    # steps it takes: ripple's one tidal kick has no kinetic phase.  At N=512
+    # the kinetic phase per step is 514.7 dt / mass, pi at dt=0.4 for mass 65.5
     CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
     def base(self):
@@ -560,6 +561,28 @@ class TestStepGuardsAtLoad:
         # run makes the packet's own run, so it still refuses the document
         with pytest.raises(SimulationError):
             load_scenario(config, "run")
+
+    @pytest.mark.parametrize("command,changes,code,err", [
+        # the kinetic phase per step of mass 10 at dt 0.5 (6.434 on N=256) is
+        # no guard of ripple's one tidal kick
+        ("ripple", {"packet": {"mass": 10}, "evolve": {"dt": 0.5}}, 0, ""),
+        # with no sweep block and no dt_list they make no run at the evolve dt
+        ("wep", {"evolve": {"dt": 5.0}}, 2,
+         "ConfigError: wep needs exactly one of 'masses' or 'shapes'\n"),
+        ("converge", {"evolve": {"dt": 5.0}}, 2,
+         "TooFewPoints: convergence study needs at least three step sizes\n")])
+    def test_a_step_the_command_does_not_take_is_not_checked(self, tmp_path, capsys, command,
+                                                             changes, code, err):
+        doc = json.loads((self.CONFIGS / "standard_1d.json").read_text())
+        for block, values in changes.items():
+            doc[block].update(values)
+        config, out = write(tmp_path, doc), tmp_path / "out.json"
+        assert main([command, "--config", config, "--out", str(out)]) == code
+        assert capsys.readouterr().err == err
+        assert out.exists() == (code == 0)
+        # loading with no command still checks the packet's own run in full
+        with pytest.raises(StepTooLarge):
+            load_scenario(config)
 
     def test_load_raises_the_error_of_the_first_bad_run(self, tmp_path, capsys):
         # two faults: the evolve dt 0.8 fails every run's step guard (kinetic
@@ -883,8 +906,8 @@ class TestUnusablePaths:
 
 def test_import_footprint():
     # the package and its CLI import numpy alone: no scipy, and none of the
-    # thread-pool modules (a 2D/3D transform imports queue when it first
-    # splits a pass)
+    # thread-pool modules (a 2D/3D transform imports concurrent.futures
+    # when it first splits a pass)
     src = str(Path(__file__).resolve().parent.parent / "src")
     code = ("import sys, wavefall, wavefall.cli; print(sorted(set(sys.argv[1:]) "
             "& set(sys.modules)))")

@@ -211,8 +211,8 @@ class TestSerialSweep:
 
     def test_1d_runs_start_no_thread(self, tmp_path):
         # 1D fields and 1D record stacks stay under spectral.SPLIT_CELLS, so
-        # a 1D run and the shipped mass sweep never start the transform's
-        # worker thread, nor import a thread pool
+        # a 1D run and the shipped mass sweep never make the transform's
+        # pool, nor import concurrent.futures
         root = Path(__file__).resolve().parent.parent
         code = textwrap.dedent("""
             import sys, threading
@@ -222,7 +222,7 @@ class TestSerialSweep:
             for command, name in (("run", "standard_1d"), ("wep", "wep_mass_1d")):
                 assert main([command, "--config", f"{configs}/{name}.json", "--out", out]) == 0
             print(threading.active_count(), "concurrent.futures" in sys.modules,
-                  spectral._jobs is None)
+                  spectral._pool is None)
             """)
         done = subprocess.run(
             [sys.executable, "-c", code, str(root / "configs"), str(tmp_path / "out")],

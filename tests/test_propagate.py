@@ -717,6 +717,24 @@ class TestMomentMap:
         assert np.max(np.abs(series.cov - cov)) < 1e-12
 
     @pytest.mark.parametrize("scheme", ["strang", "lie"])
+    @pytest.mark.parametrize("chirp", [0.05, -0.08])
+    def test_1d_chirped_complex_table(self, tmp_path, chirp, scheme):
+        # a Gaussian centred at 0.3 times exp(i pi c x^2), one row per node:
+        # its local velocity c x / mass gives Sigma_xv = c Var(x) / mass at
+        # the start, and the table keeps its phase, less the mean boost
+        grid = std_grid(n=512)
+        x = grid.axis_positions
+        amp = np.exp(-((x - 0.3) ** 2) / 4.0) * np.exp(1j * np.pi * chirp * x ** 2)
+        table = tmp_path / "chirped.csv"
+        np.savetxt(table, np.column_stack([x, amp.real, amp.imag]), delimiter=",")
+        wf = make_packet(grid, PacketShape.from_table(str(table)), [0.3], [0.0], STD_MASS)
+        series = evolve(wf, std_tidal(), StepScheme(scheme),
+                        EvolveConfig(dt=STD_DT, n_steps=QUARTER_PERIOD_STEPS, record_every=10))
+        mean_x, cov = moment_map(wf, STD_R, STD_DT, QUARTER_PERIOD_STEPS, 10, scheme)
+        assert np.max(np.abs(series.mean_x - mean_x)) < 1e-12
+        assert np.max(np.abs(series.cov - cov)) < 1e-12
+
+    @pytest.mark.parametrize("scheme", ["strang", "lie"])
     @shapes
     def test_2d_off_diagonal_tidal_matrix(self, shape, scheme):
         # one trapped and one stretched direction, mixed by the off-diagonal

@@ -1,8 +1,11 @@
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,7 +209,7 @@ class TestPaddedOutput:
 
 class TestSplitPasses:
     # a field of SPLIT_CELLS cells or more runs each axis pass as two ufunc
-    # calls, one on a worker thread; every line keeps its bits.  _cpus is
+    # calls, one on the pool's thread; every line keeps its bits.  _cpus is
     # patched to 2 so the split runs whatever CPUs this process may use
 
     @pytest.fixture
@@ -262,14 +265,22 @@ class TestSplitPasses:
         monkeypatch.setattr(spectral, "_cpus", lambda: 2)
         assert np.array_equal(transform(f), np.fft.fftn(f, norm="ortho"))
 
-    def test_idle_worker_holds_no_array_and_is_a_daemon(self, rng, splits):
+    def test_idle_pool_holds_no_array_and_lets_the_process_exit(self, rng, splits):
         f = rng.standard_normal((190, 190)) + 0j
         out = transform(f)
         gone = weakref.ref(out)
         del out
         assert gone() is None
-        workers = [t for t in threading.enumerate() if t.name == "wavefall-transform"]
-        assert len(workers) == 1 and workers[0].daemon
+        # the pool's thread never keeps the interpreter from exiting: a
+        # process that made one split ends when its script does
+        code = ("import numpy as np; from wavefall import spectral; spectral._cpus = lambda: 2; "
+                "f = np.ones((190, 190), complex); "
+                "assert np.array_equal(spectral.transform(f), np.fft.fftn(f, norm='ortho')); "
+                "assert spectral._pool is not None")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=30, env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     # Python 3.12+ warns about forking a process that has threads: this one
