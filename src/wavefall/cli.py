@@ -49,7 +49,8 @@ def _write(path: str, text: str) -> None:
 
 def _write_series_csv(path: str, scenario: ScenarioConfig, series: MomentSeries,
                       aborted: BoundaryContact | None = None) -> None:
-    """The series with the closed-form classical positions at its stamps."""
+    """The series with the closed-form classical positions at its stamps and
+    ``dev``, each row's distance from them by ``match_metric``'s norm."""
     d = scenario.grid.dim
     cols = (["t", "norm"]
             + [f"mx{i + 1}" for i in range(d)]
@@ -60,8 +61,7 @@ def _write_series_csv(path: str, scenario: ScenarioConfig, series: MomentSeries,
     lines = ["# config: " + json.dumps(scenario.resolved(), sort_keys=True),
              ",".join(cols)]
     classical_x = exact_flow(scenario.x0, scenario.v0, scenario.tidal, series.t).x
-    # per-row norms: a vector's norm is sqrt(dot), the axis form sums squares
-    dev = [np.linalg.norm(x - c) for x, c in zip(series.mean_x, classical_x)]
+    dev = np.linalg.norm(series.mean_x - classical_x, axis=-1)
     table = np.column_stack((series.t, series.norm, series.mean_x, series.mean_v,
                              series.cov.reshape(series.n_records, -1), classical_x, dev))
     lines.extend(",".join(map(repr, row)) for row in table.tolist())

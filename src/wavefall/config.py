@@ -18,6 +18,7 @@ opt-in key appears only when set); every CSV/JSON the CLI writes embeds it.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -285,7 +286,9 @@ class ScenarioConfig:
 
 def load_scenario(path, command: str | None = None) -> ScenarioConfig:
     """Read and validate a scenario file, for ``command`` as in
-    ``ScenarioConfig.from_dict``; every read failure is a ConfigError."""
+    ``ScenarioConfig.from_dict``; every read failure is a ConfigError.  A
+    relative ``table`` path is made absolute against the file's directory
+    first, so the scenario reads, checks and echoes that path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -298,4 +301,12 @@ def load_scenario(path, command: str | None = None) -> ScenarioConfig:
         raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from exc
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    # a relative table path, the packet's or a shape's, names a file beside
+    # the config; anything that is not a path string is left to from_dict
+    if isinstance(doc, dict):
+        shapes = doc.get("shapes")
+        for block in [doc.get("packet"), *(shapes if isinstance(shapes, list) else ())]:
+            if isinstance(block, dict) and isinstance(block.get("table"), str) and block["table"]:
+                block["table"] = os.path.join(os.path.dirname(os.path.abspath(path)),
+                                              block["table"])
     return ScenarioConfig.from_dict(doc, command)

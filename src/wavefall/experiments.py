@@ -155,17 +155,17 @@ def ripple_check(wf: WaveFunction, tidal: TidalMatrix, dt: float) -> RippleRepor
     _, x, v, _ = moments(wf.grid, np.stack((wf.psi, tidal_step(wf, tidal, dt).psi)), wf.mass)
     measured = v[1] * TWO_PI * wf.mass - v[0] * TWO_PI * wf.mass
     predicted = -TWO_PI * wf.mass * dt * tidal.apply(x[0])
-    scale = float(np.linalg.norm(predicted))
-    mismatch = float(np.linalg.norm(measured - predicted))
+    scale, mismatch, size = np.linalg.norm(
+        np.stack((predicted, measured - predicted, measured)), axis=-1).tolist()
     # below the floor both sides are roundoff around zero (centered packet,
     # flat space): report 0 rather than a meaningless ratio
     floor = 1e-12
     if scale >= floor:
         rel = mismatch / scale
-    elif float(np.linalg.norm(measured)) < floor:
+    elif size < floor:
         rel = 0.0
     else:
-        rel = float(np.linalg.norm(measured)) / floor
+        rel = size / floor
     return RippleReport(predicted=predicted, measured=measured, relative_error=rel)
 
 
@@ -185,7 +185,7 @@ def _wep(scenario: ScenarioConfig, kind: str, block: str, labels,
     for i, j in combinations(range(len(runs)), 2):
         deviations[i, j] = deviations[j, i] = match_metric(runs[i], runs[j])
         eotvos[i, j] = eotvos[j, i] = eotvos_ratio(runs[i], runs[j])
-    amplitude = max(float(np.max(np.linalg.norm(r.mean_x, axis=1))) for r in runs)
+    amplitude = max(float(np.max(np.linalg.norm(r.mean_x, axis=-1))) for r in runs)
     return WepReport(kind=kind, labels=tuple(labels), deviations=deviations,
                      eotvos=eotvos, threshold=DEFAULT_WEP_RTOL * max(1.0, amplitude),
                      amplitude=amplitude)
@@ -231,10 +231,10 @@ def eotvos_ratio(run_a: MomentSeries, run_b: MomentSeries) -> float:
     _check_stamps(run_a, run_b)
     acc_a = acceleration_series(run_a)
     acc_b = acceleration_series(run_b)
-    denom = float(np.max(np.linalg.norm(acc_a, axis=1) + np.linalg.norm(acc_b, axis=1)))
+    denom = float(np.max(np.linalg.norm(acc_a, axis=-1) + np.linalg.norm(acc_b, axis=-1)))
     if denom < 1e-15:
         return 0.0
-    return 2.0 * float(np.max(np.linalg.norm(acc_a - acc_b, axis=1))) / denom
+    return 2.0 * float(np.max(np.linalg.norm(acc_a - acc_b, axis=-1))) / denom
 
 
 # --- convergence -------------------------------------------------------------

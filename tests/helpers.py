@@ -2,23 +2,25 @@
 independent oracles (brute-force DFT, numpy-fft spectral centroid, a
 stand-alone kinetic step, full-mesh and one-axis-per-sum moments, the exact
 discrete moment map and zeros-start envelopes) used to cross-check the
-package's own routines."""
+package's own routines, and the domain rule of the property draws."""
 
 from dataclasses import replace
 
 import numpy as np
 
 from wavefall import (
+    ConfigError,
     EvolveConfig,
     PacketShape,
     ScenarioConfig,
+    SimulationError,
     SpectralGrid,
     StepScheme,
     TidalMatrix,
     make_packet,
 )
 from wavefall.packets import _erf
-from wavefall.propagate import check_kinetic_phase
+from wavefall.propagate import check_kinetic_phase, check_tidal_factor
 from wavefall.spectral import transform
 
 # the house scenario: 1D, L=20, sigma=1, mu=100, R=1e-4, x0=2, v0=0, dt=0.1
@@ -168,6 +170,20 @@ def one_axis_per_sum_moments(grid, psi, mass):
     return total * grid.cell_volume, mean_x, mean_k / (2.0 * np.pi * mass), cov
 
 
+def step_map(r, dt, scheme, d):
+    """One step's phase-space matrix, acting on (x, v) in ``d`` dimensions:
+    velocity Verlet for Strang, drift then kick for Lie."""
+    eye, zero = np.eye(d), np.zeros((d, d))
+    r = np.asarray(r, dtype=float).reshape(d, d)
+
+    def kick(h):
+        return np.block([[eye, zero], [-h * r, eye]])
+
+    drift = np.block([[eye, dt * eye], [zero, eye]])
+    return (kick(dt / 2.0) @ drift @ kick(dt / 2.0) if StepScheme(scheme) is StepScheme.STRANG
+            else kick(dt) @ drift)
+
+
 def moment_map(wf, r, dt, n_steps, every, scheme):
     """Mean position and position covariance of ``wf`` every ``every`` steps
     (row 0: the initial state) under the exact discrete moment map, as
@@ -203,15 +219,7 @@ def moment_map(wf, r, dt, n_steps, every, scheme):
     m = np.concatenate([mx, mk / to_v])
     c = np.block([[cxx, cxk / to_v], [cxk.T / to_v, ckk / to_v ** 2]])
 
-    eye, zero = np.eye(d), np.zeros((d, d))
-    r = np.asarray(r, dtype=float).reshape(d, d)
-
-    def kick(h):
-        return np.block([[eye, zero], [-h * r, eye]])
-
-    drift = np.block([[eye, dt * eye], [zero, eye]])
-    s = (kick(dt / 2.0) @ drift @ kick(dt / 2.0) if StepScheme(scheme) is StepScheme.STRANG
-         else kick(dt) @ drift)
+    s = step_map(r, dt, scheme, d)
     means, covs = [m[:d]], [c[:d, :d]]
     for step in range(1, n_steps + 1):
         m, c = s @ m, s @ c @ s.T
@@ -219,6 +227,77 @@ def moment_map(wf, r, dt, n_steps, every, scheme):
             means.append(m[:d])
             covs.append(c[:d, :d])
     return np.array(means), np.array(covs)
+
+
+# the grids a property draw may run on (L = STD_L), and the tail levels of
+# its domain rule: per grid node, the probability below which the packet
+# may reach the margin band, and the one below which it may reach the grid
+# edge or the spectral edge
+DRAW_NS = (256, 320, 384, 448, 512, 640, 768, 1024, 1280, 1536)
+MARGIN_TAIL = 1e-10
+EDGE_TAIL = 1e-16
+
+
+def _tail_reach(values, weight, centre, level):
+    """The farthest ``values`` node from ``centre`` whose share of
+    ``weight`` is at least ``level``."""
+    share = weight / weight.sum()
+    return float(np.max(np.abs(values[share >= level] - centre)))
+
+
+def draw_grid(shape, mass, x0, v0, r, scheme, n_steps, dt=STD_DT):
+    """The smallest N of ``DRAW_NS`` on which a 1D run of the draw stays
+    resolved for ``n_steps``, or None when no N does: the draw's domain.
+
+    A draw must pass the loader's guards (packet, kinetic and tidal) on its
+    grid, and its initial margin mass must stay under the boundary monitor's
+    tolerance.  Its reach is followed in phase space: the packet's position
+    and wavenumber tail reaches at each level (``_tail_reach`` on the built
+    packet, so a skewed tail counts as it is, not as a Gaussian's) are
+    carried by the step's moment map, the mean exactly and the two spreads
+    added in quadrature.  At every step the reach at ``MARGIN_TAIL`` must
+    stay inside the margin band, so the monitor never stops the run, and the
+    reach at ``EDGE_TAIL`` inside the grid and below k_max, so neither
+    periodic edge shows in the moments.  A grid whose spectral reach fails
+    passes the draw to the next N; a failed position reach, margin mass or
+    guard that no finer grid can mend rejects it."""
+    cfg = EvolveConfig(dt=dt, n_steps=n_steps)
+    # the step map's powers 0..n_steps, doubled: the 2^j after the first 2^j
+    step, maps = step_map(r, dt, scheme, 1), np.eye(2)[None]
+    while len(maps) <= n_steps:
+        maps = np.concatenate((maps, maps @ (maps[-1] @ step)))
+    maps = maps[:n_steps + 1]
+    means = maps @ np.array([x0, v0])
+    to_k = 2.0 * np.pi * mass
+    for n in DRAW_NS:
+        grid = std_grid(n)
+        try:
+            check_kinetic_phase(grid, mass, dt)
+        except SimulationError:
+            return None
+        try:
+            check_tidal_factor(grid, TidalMatrix([[r]]), mass, dt)
+            wf = make_packet(grid, shape, [x0], [v0], mass)
+        except (ConfigError, SimulationError):
+            continue
+        rho = np.abs(wf.psi) ** 2
+        x = grid.axis_positions
+        band = grid.extent / 2.0 - cfg.boundary_margin_fraction * grid.extent
+        if rho[np.abs(x) >= band].sum() * grid.cell_volume > cfg.boundary_mass_tol:
+            return None
+        spectrum = np.abs(np.fft.fft(wf.psi)) ** 2
+        reach = {}
+        for level in (MARGIN_TAIL, EDGE_TAIL):
+            a = _tail_reach(x, rho, x0, level)
+            b = _tail_reach(grid.axis_wavenumbers, spectrum, to_k * v0, level) / to_k
+            reach[level] = np.abs(means) + np.hypot(maps[:, :, 0] * a, maps[:, :, 1] * b)
+        if np.max(reach[EDGE_TAIL][:, 1]) * to_k >= grid.k_max:
+            continue
+        if (np.max(reach[MARGIN_TAIL][:, 0]) >= band
+                or np.max(reach[EDGE_TAIL][:, 0]) >= grid.extent / 2.0):
+            return None
+        return n
+    return None
 
 
 def zeros_start_envelope(grid, shape, center):

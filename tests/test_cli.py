@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,8 +12,8 @@ import pytest
 from wavefall import (BoundaryContact, ConfigError, PacketShape, ScenarioConfig,
                       SimulationError, StepTooLarge, evolve, exact_flow, load_scenario,
                       wep_shape_sweep)
-from wavefall.cli import main
-from wavefall.propagate import check_kinetic_phase
+from wavefall.cli import _write_series_csv, main
+from wavefall.propagate import MomentSeries, check_kinetic_phase
 
 
 def base_doc(**overrides):
@@ -254,6 +255,49 @@ class TestCustomTable:
         assert capsys.readouterr().err == "PacketTooWide: amplitude table leaves the grid empty\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "wep"])
+    def test_relative_table_is_read_beside_the_config(self, tmp_path, monkeypatch, command):
+        # the same config run from its own directory and from its parent;
+        # run reads the packet's table, wep a shape's
+        folder = tmp_path / "d"
+        folder.mkdir()
+        write_table(folder / "t.csv")
+        doc = (table_doc("t.csv") if command == "run" else
+               base_doc(shapes=[{"shape": "gaussian", "params": [1.0]},
+                                {"shape": "custom_table", "table": "t.csv"}]))
+        write(folder, doc, "s.json")
+        outputs = []
+        for cwd, config in ((folder, "s.json"), (tmp_path, "d/s.json")):
+            monkeypatch.chdir(cwd)
+            out = tmp_path / f"from_{cwd.name}.out"
+            assert main([command, "--config", config, "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert f'"table": "{folder / "t.csv"}"'.encode() in outputs[0]
+        # a document handed to from_dict keeps its relative path
+        monkeypatch.chdir(folder)
+        resolved = ScenarioConfig.from_dict(doc, command).resolved()
+        shape = resolved["packet"] if command == "run" else resolved["shapes"][1]
+        assert shape["table"] == "t.csv"
+
+    def test_empty_table_path_is_still_refused(self, tmp_path):
+        doc = table_doc("")
+        with pytest.raises(ConfigError, match="^custom_table shape needs table_path$"):
+            load_scenario(write(tmp_path, doc))
+
+    def test_out_naming_a_relative_table_exits_2(self, tmp_path, capsys, monkeypatch):
+        # the --out check compares the table by the path the loader made
+        folder = tmp_path / "d"
+        folder.mkdir()
+        table = write_table(folder / "t.csv")
+        write(folder, table_doc("t.csv"), "s.json")
+        before = Path(table).read_bytes()
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", "d/s.json", "--out", "d/t.csv"]) == 2
+        assert capsys.readouterr().err == (
+            f"ConfigError: output path 'd/t.csv' is the amplitude table {table!r}\n")
+        assert Path(table).read_bytes() == before
+
     @pytest.mark.parametrize("cells, dx, x0", [(0.5, "3.906e-02", "2.0390625"),
                                                (0.001, "7.812e-05", "2.000078125")])
     def test_sub_cell_x0_names_the_nearest_node_rule(self, tmp_path, capsys, cells, dx, x0):
@@ -285,14 +329,15 @@ def doc_2d(**packet):
 
 def csv_value_by_value(scenario, series, aborted=None):
     """The series CSV formatted one value at a time: ``repr(float(v))`` per
-    element and a per-row ``np.linalg.norm`` for ``dev``."""
+    element, and for ``dev`` the square root of each row's sum of squares,
+    summed in axis order."""
     clx = exact_flow(scenario.x0, scenario.v0, scenario.tidal, series.t).x
     lines = ["# config: " + json.dumps(scenario.resolved(), sort_keys=True),
              "t,norm,mx1,mx2,mv1,mv2,cov11,cov12,cov21,cov22,clx1,clx2,dev"]
     for r in range(series.n_records):
         row = ([series.t[r], series.norm[r]] + list(series.mean_x[r])
                + list(series.mean_v[r]) + list(series.cov[r].reshape(-1))
-               + list(clx[r]) + [np.linalg.norm(series.mean_x[r] - clx[r])])
+               + list(clx[r]) + [math.sqrt(sum(d * d for d in series.mean_x[r] - clx[r]))])
         lines.append(",".join(repr(float(v)) for v in row))
     if aborted:
         lines.append(f"# aborted: {aborted}")
@@ -320,6 +365,37 @@ class TestRunCsvBytes:
         assert (aborted is None) == (code == 0)
         assert series.n_records > 10
         assert out.read_bytes() == csv_value_by_value(scenario, series, aborted)
+
+
+class TestDevColumn:
+    # dev is each row's norm by the rule every printed length uses:
+    # np.linalg.norm(..., axis=-1), the square root of a sum of squares
+
+    def test_dev_is_the_axis_norm_of_its_row(self, tmp_path):
+        # x0 = v0 = 0 makes clx zero, so dev is the norm of mean_x itself;
+        # sqrt(dot) would give 1.0357142857142858 for this row
+        scenario = ScenarioConfig.from_dict(doc_2d(x0=[0.0, 0.0], v0=[0.0, 0.0]))
+        series = MomentSeries(t=np.zeros(1), norm=np.ones(1), mean_x=np.array([[0.75, 5 / 7]]),
+                              mean_v=np.zeros((1, 2)), cov=np.zeros((1, 2, 2)),
+                              final_state=None, diagnostics={})
+        out = tmp_path / "series.csv"
+        _write_series_csv(str(out), scenario, series)
+        _, _, rows = read_csv(out)
+        assert rows[:, -3:].tolist() == [[0.0, 0.0, 1.0357142857142856]]
+
+    def test_run_max_dev_is_the_converge_error_at_its_dt(self, tmp_path):
+        # off-diagonal R; the converge member at dt = 0.1 is the run itself
+        doc = doc_2d()
+        doc["evolve"].update(steps=40, record_every=1)
+        doc["dt_list"] = [0.4, 0.2, 0.1]
+        config = write(tmp_path, doc)
+        series, report = tmp_path / "series.csv", tmp_path / "conv.json"
+        assert main(["run", "--config", config, "--out", str(series)]) == 0
+        assert main(["converge", "--config", config, "--out", str(report)]) == 0
+        _, _, rows = read_csv(series)
+        assert rows.shape[0] == 41
+        errors = json.loads(report.read_text())["report"]["errors"]
+        assert np.max(rows[:, -1]) == errors[2]
 
 
 class TestWepCommand:

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, target
+from hypothesis import strategies as st
 
 from helpers import (
     LEAN_N,
@@ -11,6 +13,7 @@ from helpers import (
     STD_MASS,
     STD_R,
     STD_X0,
+    draw_grid,
     kinetic_step,
     moment_map,
     npfft_centroid,
@@ -745,6 +748,59 @@ class TestMomentMap:
         mean_x, cov = moment_map(wf, r, STD_DT, 400, 10, scheme)
         assert np.max(np.abs(series.mean_x - mean_x)) < 1e-12
         assert np.max(np.abs(series.cov - cov)) < 1e-12
+
+
+# the property draws: masses log-uniform over a decade, every analytic
+# envelope, and a tidal rate of either sign (a negative one stretches)
+masses = st.floats(np.log(20.0), np.log(200.0)).map(np.exp)
+widths = st.floats(0.5, 1.3)
+envelopes = st.one_of(widths.map(PacketShape.gaussian),
+                      st.builds(PacketShape.skewed_gaussian, widths, st.floats(-2.0, 2.0)),
+                      st.builds(PacketShape.double_peak, widths, st.floats(0.5, 1.2)))
+tidal_rates = st.builds(lambda sign, rate: sign * rate,
+                        st.sampled_from([-1.0, 1.0]), st.floats(2e-5, 1e-4))
+DRAW_STEPS, DRAW_EVERY = 785, 5
+
+
+def assert_within(measured, expected, rtol=1e-12):
+    assert np.all(np.abs(measured - expected) <= rtol * np.maximum(1.0, np.abs(expected)))
+
+
+class TestUniversalityProperty:
+    """"Whatever the mass or envelope", drawn: each run's ``mean_x`` and
+    ``cov`` follow the exact moment map, and a twin that differs only in
+    its mass, or only in its envelope, follows the same mean trajectory.
+
+    Each example is a draw and its twin, each run on the grid that
+    ``helpers.draw_grid`` picks, and the examples are steered towards finer
+    grids, where the spectral edge is nearest.  The rule rejects a draw
+    whose run the boundary monitor could stop, or no grid resolves: with
+    hypothesis 6.155, 23 of the 112 draws (21%), and so 16 of the 56
+    examples (29%; both members must pass).  An accepted draw is never
+    dropped afterwards: one that fails is a finding about the package, not
+    the draws."""
+
+    @given(mass=masses, shape=envelopes, x0=st.floats(-3.0, 3.0), v0=st.floats(-0.01, 0.01),
+           r=tidal_rates, scheme=st.sampled_from(["strang", "lie"]),
+           twin=st.one_of(masses, envelopes))
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    def test_any_mass_and_envelope_follows_the_map(self, mass, shape, x0, v0, r, scheme,
+                                                   twin):
+        members = [(mass, shape),
+                   (mass, twin) if isinstance(twin, PacketShape) else (twin, shape)]
+        grids = [draw_grid(sh, m, x0, v0, r, scheme, DRAW_STEPS) for m, sh in members]
+        assume(None not in grids)
+        target(float(sum(grids)), label="grid points")
+        means = []
+        for (m, sh), n in zip(members, grids):
+            wf = make_packet(std_grid(n), sh, [x0], [v0], m)
+            series = evolve(wf, TidalMatrix([[r]]), StepScheme(scheme),
+                            EvolveConfig(dt=STD_DT, n_steps=DRAW_STEPS, record_every=DRAW_EVERY))
+            mean_x, cov = moment_map(wf, r, STD_DT, DRAW_STEPS, DRAW_EVERY, scheme)
+            assert_within(series.mean_x, mean_x)
+            assert_within(series.cov, cov)
+            means.append(series.mean_x)
+        assert_within(means[1], means[0])
 
 
 class TestAccelerationSeries:
