@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import TidalMatrix
-from .errors import StepTooLarge, TimestampMismatch, VelocityTooHigh
+from .errors import ConfigError, SizeMismatch, StepTooLarge, TimestampMismatch, VelocityTooHigh
 
 MAX_CLASSICAL_SPEED = 0.1
 
@@ -29,7 +29,7 @@ class ClassicalState:
         x = np.atleast_1d(np.asarray(self.x, dtype=float))
         v = np.atleast_1d(np.asarray(self.v, dtype=float))
         if x.shape != v.shape:
-            raise ValueError("x and v must have the same shape")
+            raise SizeMismatch("x and v must have the same shape")
         speed = float(np.linalg.norm(v))
         if speed >= MAX_CLASSICAL_SPEED:
             raise VelocityTooHigh(f"|v|={speed:.3g} outside the low-energy regime")
@@ -57,7 +57,7 @@ def rk4_integrate(state: ClassicalState, tidal: TidalMatrix, dt: float,
                   n_steps: int) -> TrajectorySeries:
     """Classic fourth-order Runge-Kutta on (x' = v, v' = -R x)."""
     if not dt > 0 or n_steps < 1:
-        raise ValueError("dt and n_steps must be positive")
+        raise ConfigError("dt and n_steps must be positive")
     if dt * np.sqrt(tidal.max_abs()) >= 0.1:
         raise StepTooLarge(
             f"dt*sqrt(max|R|) = {dt * np.sqrt(tidal.max_abs()):.3g} must stay below 0.1")

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classical import exact_flow
+from .classical import TrajectorySeries
 from .config import ScenarioConfig, load_scenario
 from .errors import BoundaryContact, ConfigError, SimulationError
 from .experiments import convergence_study, ripple_check, wep_mass_sweep, wep_shape_sweep
@@ -48,9 +48,11 @@ def _write(path: str, text: str) -> None:
 
 
 def _write_series_csv(path: str, scenario: ScenarioConfig, series: MomentSeries,
+                      reference: TrajectorySeries,
                       aborted: BoundaryContact | None = None) -> None:
-    """The series with the closed-form classical positions at its stamps and
-    ``dev``, each row's distance from them by ``match_metric``'s norm."""
+    """The series with the closed-form classical positions at its stamps,
+    the first rows of the full run's ``reference``, and ``dev``, each row's
+    distance from them by ``match_metric``'s norm."""
     d = scenario.grid.dim
     cols = (["t", "norm"]
             + [f"mx{i + 1}" for i in range(d)]
@@ -60,7 +62,7 @@ def _write_series_csv(path: str, scenario: ScenarioConfig, series: MomentSeries,
             + ["dev"])
     lines = ["# config: " + json.dumps(scenario.resolved(), sort_keys=True),
              ",".join(cols)]
-    classical_x = exact_flow(scenario.x0, scenario.v0, scenario.tidal, series.t).x
+    classical_x = reference.x[:series.n_records]
     dev = np.linalg.norm(series.mean_x - classical_x, axis=-1)
     table = np.column_stack((series.t, series.norm, series.mean_x, series.mean_v,
                              series.cov.reshape(series.n_records, -1), classical_x, dev))
@@ -76,13 +78,15 @@ def _write_report_json(path: str, scenario: ScenarioConfig, report: dict) -> Non
 
 
 def cmd_run(scenario: ScenarioConfig, out: str) -> int:
+    # a reference that leaves the low-energy regime fails before any step
+    reference = scenario.reference()
     try:
         series = evolve(scenario.build_packet(), scenario.tidal, scenario.scheme,
                         scenario.evolve_cfg)
     except BoundaryContact as exc:
-        _write_series_csv(out, scenario, exc.partial, aborted=exc)
+        _write_series_csv(out, scenario, exc.partial, reference, aborted=exc)
         raise
-    _write_series_csv(out, scenario, series)
+    _write_series_csv(out, scenario, series, reference)
     return 0
 
 
@@ -111,7 +115,8 @@ def _check_out(path: str, config: str, scenario: ScenarioConfig) -> None:
         raise ConfigError(f"output path {path!r} is a directory")
     if out.samefile(config):
         raise ConfigError(f"output path {path!r} is the config file")
-    for table in (shape.table_path for shape in (scenario.shape, *(scenario.shapes or ()))):
+    for shape in (scenario.shape, *(scenario.shapes or ())):
+        table = scenario.located(shape).table_path
         if table is not None and Path(table).exists() and out.samefile(table):
             raise ConfigError(f"output path {path!r} is the amplitude table {table!r}")
 

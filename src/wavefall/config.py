@@ -20,11 +20,11 @@ from __future__ import annotations
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .classical import ClassicalState
+from .classical import ClassicalState, TrajectorySeries, exact_flow
 from .curvature import TidalMatrix
 from .errors import ConfigError
 from .packets import PacketShape, check_packet_preconditions, make_packet
@@ -167,11 +167,15 @@ class ScenarioConfig:
     shapes: tuple[PacketShape, ...] | None = None
     dt_list: tuple[float, ...] | None = None
     order_band: tuple[float, float] | None = None
+    # the directory a relative table path is read from; None: the working one
+    table_dir: str | None = None
 
     @classmethod
-    def from_dict(cls, doc: dict, command: str | None = None) -> "ScenarioConfig":
+    def from_dict(cls, doc: dict, command: str | None = None,
+                  table_dir: str | None = None) -> "ScenarioConfig":
         """The validated scenario of ``doc``; for a ``command``, with only
-        the optional blocks it reads, and with all of them for none."""
+        the optional blocks it reads, and with all of them for none.  A
+        relative table path is read from ``table_dir`` and echoed as written."""
         if command not in (None, "run", "ripple", "wep", "converge"):
             raise ConfigError(f"unknown command {command!r}")
         if not isinstance(doc, dict):
@@ -181,12 +185,9 @@ class ScenarioConfig:
             raise ConfigError(f"unknown top-level keys: {unknown}")
 
         gb = _block(doc, "grid", _GRID_KEYS, ("dim", "n", "extent"))
-        try:
-            grid = SpectralGrid(dim=_integer(gb["dim"], "grid.dim"),
-                                n=_integer(gb["n"], "grid.n"),
-                                extent=_number(gb["extent"], "grid.extent"))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        grid = SpectralGrid(dim=_integer(gb["dim"], "grid.dim"),
+                            n=_integer(gb["n"], "grid.n"),
+                            extent=_number(gb["extent"], "grid.extent"))
 
         cb = _block(doc, "curvature", _CURV_KEYS, ("tidal",))
         entries = np.array(_numbers(cb["tidal"], "curvature.tidal",
@@ -211,22 +212,19 @@ class ScenarioConfig:
             scheme = StepScheme(scheme_name)
         except ValueError as exc:
             raise ConfigError(f"evolve.scheme must be 'lie' or 'strang', got {scheme_name!r}") from exc
-        try:
-            # only the keys present are passed; EvolveConfig holds the defaults
-            evolve_cfg = EvolveConfig(
-                dt=_number(eb["dt"], "evolve.dt"),
-                n_steps=_integer(eb["steps"], "evolve.steps"),
-                **{key: parse(eb[key], f"evolve.{key}")
-                   for key, parse in _EVOLVE_OPTIONS.items() if key in eb})
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        # only the keys present are passed; EvolveConfig holds the defaults
+        evolve_cfg = EvolveConfig(
+            dt=_number(eb["dt"], "evolve.dt"),
+            n_steps=_integer(eb["steps"], "evolve.steps"),
+            **{key: parse(eb[key], f"evolve.{key}")
+               for key, parse in _EVOLVE_OPTIONS.items() if key in eb})
 
         blocks = {name: parse(doc[name])
                   for name, (_, parse, _, _) in _OPTIONAL_BLOCKS.items() if name in doc}
         blocks = {name: block for name, block in blocks.items()
                   if command in (None, _OPTIONAL_BLOCKS[name][0])}
         cfg = cls(grid=grid, tidal=tidal, shape=shape, x0=x0, v0=v0, mass=mass,
-                  evolve_cfg=evolve_cfg, scheme=scheme, **blocks)
+                  evolve_cfg=evolve_cfg, scheme=scheme, table_dir=table_dir, **blocks)
         # wep and converge make only their blocks' runs; ripple takes no kinetic step
         cfg.validate(own_run=command not in ("wep", "converge"), kinetic=command != "ripple")
         return cfg
@@ -248,19 +246,34 @@ class ScenarioConfig:
         runs = self.runs() if own_run else [run for name in _OPTIONAL_BLOCKS
                                             for run in self.runs(name)]
         for mass, shape, dt in runs:
-            check_packet_preconditions(self.grid, shape, self.x0, self.v0, mass)
+            check_packet_preconditions(self.grid, self.located(shape), self.x0, self.v0, mass)
             if kinetic:
                 check_kinetic_phase(self.grid, mass, dt)
             check_tidal_factor(self.grid, self.tidal, mass, dt)
 
     # --- builders ---------------------------------------------------------
 
+    def located(self, shape: PacketShape) -> PacketShape:
+        """``shape`` with its table path joined to ``table_dir``: the path
+        the table is read from (an absolute one stays as it is)."""
+        if shape.table_path is None or self.table_dir is None:
+            return shape
+        return replace(shape, table_path=os.path.join(self.table_dir, shape.table_path))
+
     def build_packet(self, mass: float | None = None, shape: PacketShape | None = None):
-        return make_packet(self.grid, shape or self.shape, self.x0, self.v0,
+        return make_packet(self.grid, self.located(shape or self.shape), self.x0, self.v0,
                            self.mass if mass is None else mass)
 
     def classical_state(self) -> ClassicalState:
         return ClassicalState(x=np.asarray(self.x0), v=np.asarray(self.v0))
+
+    def reference(self, cfg: EvolveConfig | None = None) -> TrajectorySeries:
+        """The closed-form classical flow from x0, v0 at every stamp a full
+        run with ``cfg`` (the scenario's evolve settings for None) records;
+        VelocityTooHigh where it leaves the low-energy regime."""
+        cfg = self.evolve_cfg if cfg is None else cfg
+        return exact_flow(self.x0, self.v0, self.tidal,
+                          cfg.dt * (cfg.record_every * np.arange(cfg.n_records)))
 
     def duration(self) -> float:
         return self.evolve_cfg.dt * self.evolve_cfg.n_steps
@@ -287,8 +300,9 @@ class ScenarioConfig:
 def load_scenario(path, command: str | None = None) -> ScenarioConfig:
     """Read and validate a scenario file, for ``command`` as in
     ``ScenarioConfig.from_dict``; every read failure is a ConfigError.  A
-    relative ``table`` path is made absolute against the file's directory
-    first, so the scenario reads, checks and echoes that path."""
+    relative ``table`` path, the packet's or a shape's, names a file beside
+    the config: the scenario reads and checks it there, and echoes it as
+    written, so a config and its tables give the same output in any folder."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -301,12 +315,4 @@ def load_scenario(path, command: str | None = None) -> ScenarioConfig:
         raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from exc
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    # a relative table path, the packet's or a shape's, names a file beside
-    # the config; anything that is not a path string is left to from_dict
-    if isinstance(doc, dict):
-        shapes = doc.get("shapes")
-        for block in [doc.get("packet"), *(shapes if isinstance(shapes, list) else ())]:
-            if isinstance(block, dict) and isinstance(block.get("table"), str) and block["table"]:
-                block["table"] = os.path.join(os.path.dirname(os.path.abspath(path)),
-                                              block["table"])
-    return ScenarioConfig.from_dict(doc, command)
+    return ScenarioConfig.from_dict(doc, command, os.path.dirname(os.path.abspath(path)))

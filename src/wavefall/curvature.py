@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import (
     AsymmetricInput,
+    ConfigError,
     OutsideValidity,
     SymmetryViolation,
     TraceNotZero,
@@ -125,7 +126,7 @@ def validate_tidal(tidal: TidalMatrix, domain_extent: float) -> float:
     raises ``OutsideValidity`` otherwise.
     """
     if domain_extent <= 0:
-        raise ValueError("domain_extent must be positive")
+        raise ConfigError("domain_extent must be positive")
     epsilon = tidal.max_abs() * float(domain_extent) ** 2
     if not epsilon < DEFAULT_VALIDITY_THRESHOLD:
         raise OutsideValidity(f"epsilon={epsilon:.3e} exceeds weak-field threshold "

@@ -20,7 +20,7 @@ from itertools import combinations, repeat
 
 import numpy as np
 
-from .classical import _check_stamps, exact_flow, match_metric
+from .classical import _check_stamps, match_metric
 from .config import ScenarioConfig
 from .curvature import TidalMatrix
 from .errors import (
@@ -37,8 +37,8 @@ from .propagate import (
     _tidal_phase_field,
     acceleration_series,
     check_records,
+    check_tidal_factor,
     evolve,
-    tidal_step,
 )
 
 RIPPLE_EDGE_PHASE_LIMIT = np.pi / 4.0
@@ -142,17 +142,19 @@ class ConvergenceReport:
 # --- single-step checks ------------------------------------------------------
 
 def ripple_check(wf: WaveFunction, tidal: TidalMatrix, dt: float) -> RippleReport:
-    """Compare the measured spectral-centroid shift of one tidal step with
-    the prediction -2 pi mu R <x> dt.
+    """Compare the spectral-centroid shift of one tidal step, kicked by the
+    phase field built here once, with the prediction -2 pi mu R <x> dt.
 
-    Refuses to run when the imprinted phase reaches pi/4 anywhere on the
-    grid, since a wrapped phase would alias the centroid read-out.
+    Refuses to run when that phase reaches pi/4 anywhere on the grid, since
+    a wrapped phase would alias the read-out, before ``check_tidal_factor``.
     """
-    edge_phase = float(np.max(np.abs(_tidal_phase_field(wf.grid, tidal, wf.mass, dt))))
+    phase = _tidal_phase_field(wf.grid, tidal, wf.mass, dt)
+    edge_phase = float(np.max(np.abs(phase)))
     if edge_phase >= RIPPLE_EDGE_PHASE_LIMIT:
         raise PhaseWrapRisk(
             f"tidal phase {edge_phase:.3f} at the domain edge exceeds pi/4")
-    _, x, v, _ = moments(wf.grid, np.stack((wf.psi, tidal_step(wf, tidal, dt).psi)), wf.mass)
+    check_tidal_factor(wf.grid, tidal, wf.mass, dt)
+    _, x, v, _ = moments(wf.grid, np.stack((wf.psi, wf.psi * np.exp(1j * phase))), wf.mass)
     measured = v[1] * TWO_PI * wf.mass - v[0] * TWO_PI * wf.mass
     predicted = -TWO_PI * wf.mass * dt * tidal.apply(x[0])
     scale, mismatch, size = np.linalg.norm(
@@ -246,10 +248,12 @@ def convergence_study(scenario: ScenarioConfig) -> ConvergenceReport:
     Each run covers the scenario duration with its own dt and otherwise the
     scenario's evolve settings, monitors included; its error is the
     max-deviation from the closed-form classical flow at its own record
-    stamps.  Every run's settings, its step count included, are fixed before
-    any run; runs go in the order of ``dt_list``, one series held at a time;
-    the pass band is ``order_band``, else the scheme's default band.  The
-    dt-list guards run here too: a scenario built in Python skips the loader.
+    stamps.  Every run's settings, its step count included, and then its
+    classical reference are fixed before any run, so a reference that leaves
+    the low-energy regime fails before any step; runs go in the order of
+    ``dt_list``, one series held at a time; the pass band is ``order_band``,
+    else the scheme's default band.  The dt-list guards run here too: a
+    scenario built in Python skips the loader.
     """
     dts = tuple(float(dt) for _, _, dt in scenario.runs("dt_list"))
     if len(dts) < 3:
@@ -267,12 +271,10 @@ def convergence_study(scenario: ScenarioConfig) -> ConvergenceReport:
             raise ConfigError(f"duration {duration} is not a multiple of dt={dt}")
         return replace(scenario.evolve_cfg, dt=dt, n_steps=n, record_every=1)
 
-    def error(series: MomentSeries) -> float:
-        return match_metric(series, exact_flow(scenario.x0, scenario.v0, scenario.tidal,
-                                               series.t))
-
     labels, cfgs = map("dt={:g}".format, dts), [member_cfg(dt) for dt in dts]
-    errors = tuple(map(error, _evolve_members(scenario, "dt_list", labels, cfgs)))
+    references = [scenario.reference(cfg) for cfg in cfgs]
+    errors = tuple(map(match_metric, _evolve_members(scenario, "dt_list", labels, cfgs),
+                       references))
     slope = float(np.polyfit(np.log(dts), np.log(errors), 1)[0])
     return ConvergenceReport(scheme=scenario.scheme.value, dts=dts, errors=errors, order=slope,
                              band=scenario.order_band or DEFAULT_ORDER_BANDS[scenario.scheme])

@@ -37,6 +37,8 @@ from numpy._core._multiarray_umath import vdot
 from .curvature import TidalMatrix, validate_tidal
 from .errors import (
     BoundaryContact,
+    ConfigError,
+    SizeMismatch,
     SpectralEdgeContact,
     StepTooLarge,
     TimestampMismatch,
@@ -78,13 +80,13 @@ class EvolveConfig:
         if not self.dt > 0:
             raise StepTooLarge(f"dt must be positive, got {self.dt}")
         if self.n_steps < 1 or self.record_every < 1:
-            raise ValueError("n_steps and record_every must be positive integers")
+            raise ConfigError("n_steps and record_every must be positive integers")
         if not 0.0 < self.boundary_margin_fraction < 0.5:
-            raise ValueError("boundary_margin_fraction must lie in (0, 0.5)")
+            raise ConfigError("boundary_margin_fraction must lie in (0, 0.5)")
         if not self.boundary_mass_tol > 0:
-            raise ValueError("boundary_mass_tol must be positive")
+            raise ConfigError("boundary_mass_tol must be positive")
         if self.spectral_mass_tol is not None and not self.spectral_mass_tol > 0:
-            raise ValueError("spectral_mass_tol must be positive")
+            raise ConfigError("spectral_mass_tol must be positive")
 
     @property
     def n_records(self) -> int:
@@ -123,11 +125,8 @@ def check_kinetic_phase(grid: SpectralGrid, mass: float, dt: float) -> None:
 
 def check_tidal_factor(grid: SpectralGrid, tidal: TidalMatrix, mass: float,
                        dt: float) -> float:
-    """Step-budget guards of the tidal factor: its dimension, its phase at
-    the domain edge and the weak-field validity.  Returns the validity
-    epsilon."""
-    if tidal.dim != grid.dim:
-        raise ValueError(f"tidal dimension {tidal.dim} does not match grid {grid.dim}")
+    """Step-budget guards of the tidal factor: its phase at the domain edge
+    and the weak-field validity.  Returns the validity epsilon."""
     phase = dt * tidal.max_abs() * (grid.extent / 2.0) ** 2 * np.pi * mass
     if phase >= np.pi:
         raise StepTooLarge(
@@ -137,8 +136,10 @@ def check_tidal_factor(grid: SpectralGrid, tidal: TidalMatrix, mass: float,
 
 def _tidal_phase_field(grid: SpectralGrid, tidal: TidalMatrix, mass: float,
                        dt: float) -> np.ndarray:
-    """Imprinted phase per step, -pi mu (x.R.x) dt on the grid: the
-    first-order clock-rate phase, and the only code that builds it."""
+    """The first-order clock-rate phase per step, -pi mu (x.R.x) dt on the
+    grid; the only code that builds it, and so the tidal dimension guard."""
+    if tidal.dim != grid.dim:
+        raise SizeMismatch(f"tidal dimension {tidal.dim} does not match grid {grid.dim}")
     r = tidal.entries
     q = np.zeros(grid.shape)
     meshes = grid.position_meshes
@@ -238,7 +239,8 @@ def evolve(wf: WaveFunction, tidal: TidalMatrix, scheme: StepScheme,
     steps.
 
     Inputs: ``wf`` is only read.  The step-budget guards
-    (``check_kinetic_phase``, ``check_tidal_factor``) raise before any step.
+    (``check_kinetic_phase``, ``check_tidal_factor``) and the tidal
+    dimension guard (``_tidal_phase_field``) raise before any step.
 
     Records: row r holds the norm, mean position, mean velocity and position
     covariance of the state after step ``r * record_every``, stamped

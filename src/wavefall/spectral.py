@@ -43,7 +43,7 @@ import numpy as np
 # that moves it fails at import rather than in the middle of a run
 from numpy.fft import _pocketfft_umath
 
-from .errors import SizeMismatch
+from .errors import ConfigError, SizeMismatch
 
 # ufunc(field, scale, out=...) transforms the last axis and multiplies by scale
 fft_ufunc = _pocketfft_umath.fft
@@ -109,11 +109,11 @@ class SpectralGrid:
 
     def __post_init__(self):
         if self.dim not in (1, 2, 3):
-            raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
+            raise ConfigError(f"dim must be 1, 2 or 3, got {self.dim}")
         if self.n < 8 or self.n % 2 != 0:
-            raise ValueError(f"points per axis must be even and >= 8, got {self.n}")
+            raise ConfigError(f"points per axis must be even and >= 8, got {self.n}")
         if not self.extent > 0:
-            raise ValueError(f"extent must be positive, got {self.extent}")
+            raise ConfigError(f"extent must be positive, got {self.extent}")
 
     @property
     def shape(self) -> tuple[int, ...]:

@@ -199,6 +199,41 @@ class TestRunCommand:
         assert main(["run", "--config", cfg, "--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
+    @pytest.mark.parametrize("command,t", [("run", "97.6"), ("converge", "97.44")])
+    def test_reference_leaving_the_regime_fails_before_any_step(self, tmp_path, capsys,
+                                                                monkeypatch, command, t):
+        # the repelling tidal field drives the classical reference past
+        # |v| = 0.1 inside the run's 100 time units, first at stamp t: the
+        # run records every 0.8, the converge member at dt=0.008 every step
+        doc = base_doc(grid={"dim": 1, "n": 24576, "extent": 20.0},
+                       packet={"shape": "gaussian", "params": [0.05], "x0": [3.0],
+                               "v0": [0.0], "mass": 5000.0},
+                       curvature={"tidal": [-2.4e-4]},
+                       evolve={"dt": 0.008, "steps": 12500, "record_every": 100})
+        if command == "converge":
+            doc["dt_list"] = [0.008, 0.004, 0.002]
+        evolved = []
+
+        class Evolved(Exception):
+            pass
+
+        def count(*args):
+            evolved.append(args)
+            raise Evolved
+
+        for module in ("experiments", "cli"):
+            monkeypatch.setattr(f"wavefall.{module}.evolve", count)
+        out = tmp_path / "out"
+        try:
+            code = main([command, "--config", write(tmp_path, doc), "--out", str(out)])
+        except Evolved:
+            code = None
+        assert len(evolved) == 0
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"VelocityTooHigh: |v|=0.1 left the low-energy regime at t={t}\n")
+        assert not out.exists()
+
     def test_boundary_abort_flushes_partial(self, tmp_path, capsys):
         doc = base_doc(packet={"shape": "gaussian", "params": [1.0], "x0": [2.0],
                                "v0": [0.05], "mass": 30.0},
@@ -273,12 +308,25 @@ class TestCustomTable:
             assert main([command, "--config", config, "--out", str(out)]) == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
-        assert f'"table": "{folder / "t.csv"}"'.encode() in outputs[0]
+        assert b'"table": "t.csv"' in outputs[0]
         # a document handed to from_dict keeps its relative path
         monkeypatch.chdir(folder)
         resolved = ScenarioConfig.from_dict(doc, command).resolved()
         shape = resolved["packet"] if command == "run" else resolved["shapes"][1]
         assert shape["table"] == "t.csv"
+
+    def test_relative_table_gives_the_same_bytes_in_any_folder(self, tmp_path):
+        # one config and its table, copied into two folders
+        outputs = []
+        for name in ("t1", "t2"):
+            folder = tmp_path / name
+            folder.mkdir()
+            write_table(folder / "t.csv")
+            out = folder / "series.csv"
+            assert main(["run", "--config", write(folder, table_doc("t.csv")),
+                         "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_empty_table_path_is_still_refused(self, tmp_path):
         doc = table_doc("")
@@ -286,7 +334,7 @@ class TestCustomTable:
             load_scenario(write(tmp_path, doc))
 
     def test_out_naming_a_relative_table_exits_2(self, tmp_path, capsys, monkeypatch):
-        # the --out check compares the table by the path the loader made
+        # the --out check compares the table by its path joined to the config's directory
         folder = tmp_path / "d"
         folder.mkdir()
         table = write_table(folder / "t.csv")
@@ -379,7 +427,7 @@ class TestDevColumn:
                               mean_v=np.zeros((1, 2)), cov=np.zeros((1, 2, 2)),
                               final_state=None, diagnostics={})
         out = tmp_path / "series.csv"
-        _write_series_csv(str(out), scenario, series)
+        _write_series_csv(str(out), scenario, series, scenario.reference())
         _, _, rows = read_csv(out)
         assert rows[:, -3:].tolist() == [[0.0, 0.0, 1.0357142857142856]]
 

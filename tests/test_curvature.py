@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from wavefall import (
     AsymmetricInput,
+    ConfigError,
     OutsideValidity,
     RiemannComponents,
     SymmetryViolation,
@@ -84,7 +85,7 @@ class TestValidateTidal:
         assert validate_tidal(TidalMatrix([[1e-4]]), 20.0) == pytest.approx(0.04, rel=1e-12)
 
     def test_bad_extent(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             validate_tidal(TidalMatrix.zero(1), 0.0)
 
     @given(extents=st.tuples(st.floats(0.1, 100.0), st.floats(0.1, 100.0)),

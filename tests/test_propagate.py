@@ -24,9 +24,11 @@ from helpers import (
 )
 from wavefall import (
     BoundaryContact,
+    ConfigError,
     EvolveConfig,
     OutsideValidity,
     PacketShape,
+    SizeMismatch,
     SpectralEdgeContact,
     StepScheme,
     StepTooLarge,
@@ -166,7 +168,7 @@ class TestTidalStep:
             tidal_step(wf, TidalMatrix([[1.0]]), 1.0)
         with pytest.raises(OutsideValidity):
             tidal_step(wf, TidalMatrix([[5e-4]]), 0.01)
-        with pytest.raises(ValueError):
+        with pytest.raises(SizeMismatch):
             tidal_step(wf, TidalMatrix.zero(2), STD_DT)
 
 
@@ -292,19 +294,19 @@ class TestEvolve:
         with pytest.raises(OutsideValidity):
             evolve(wf, TidalMatrix([[5e-4]]), StepScheme.STRANG,
                    EvolveConfig(dt=0.01, n_steps=1))
-        with pytest.raises(ValueError):
+        with pytest.raises(SizeMismatch):
             evolve(wf, TidalMatrix.zero(2), StepScheme.STRANG,
                    EvolveConfig(dt=STD_DT, n_steps=1))
 
     def test_config_validation(self):
         with pytest.raises(StepTooLarge):
             EvolveConfig(dt=-0.1, n_steps=10)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             EvolveConfig(dt=0.1, n_steps=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             EvolveConfig(dt=0.1, n_steps=1, boundary_margin_fraction=0.7)
         for tol in (0.0, -1e-10):
-            with pytest.raises(ValueError):
+            with pytest.raises(ConfigError):
                 EvolveConfig(dt=0.1, n_steps=1, spectral_mass_tol=tol)
 
 

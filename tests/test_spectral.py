@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import LEAN_N, brute_dft, random_field
-from wavefall import SizeMismatch, SpectralGrid, spectral
+from wavefall import ConfigError, SizeMismatch, SpectralGrid, spectral
 from wavefall.spectral import in_place, transform
 
 
@@ -35,13 +35,13 @@ class TestLattice:
             assert int(m.sum()) == -n // 2
 
     def test_grid_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             SpectralGrid(dim=1, n=7, extent=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             SpectralGrid(dim=1, n=4, extent=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             SpectralGrid(dim=4, n=8, extent=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             SpectralGrid(dim=1, n=8, extent=-1.0)
 
 
