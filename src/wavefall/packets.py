@@ -89,6 +89,10 @@ class PacketShape:
         if self.kind == "custom_table":
             return None
         core = self.params if self.kind == "gaussian" else self.params[:-1]
+        if not core:
+            tail = "skew" if self.kind == "skewed_gaussian" else "half separation"
+            raise ConfigError(f"{self.kind} params are its widths and then a {tail}; "
+                              "got one number and no width")
         sig = np.asarray(core, dtype=float)
         if sig.size == 1:
             sig = np.full(dim, sig[0])
@@ -114,9 +118,7 @@ class WaveFunction:
     t: float = 0.0
 
     def __post_init__(self):
-        psi = np.asarray(self.psi, dtype=complex)
-        if psi.shape != self.grid.shape:
-            raise ConfigError(f"field shape {psi.shape} does not match grid {self.grid.shape}")
+        psi = self.grid.check_field(self.psi)
         if not np.all(np.isfinite(psi.view(float))):
             raise ConfigError("wave function contains non-finite samples")
         if not self.mass > 0:
@@ -189,10 +191,10 @@ def _boost(grid: SpectralGrid, psi: np.ndarray, mass: float, v: np.ndarray) -> n
 # --- construction ----------------------------------------------------------
 
 def check_packet_preconditions(grid: SpectralGrid, shape: PacketShape, x0, v0,
-                               mass: float) -> tuple[np.ndarray, np.ndarray] | None:
-    """Support and wavenumber-budget guards, shared with config validation;
-    a tabulated shape must be one-dimensional, and its table is read here:
-    its rows ``(positions, amplitudes)``, or None for an analytic shape."""
+                               mass: float) -> tuple[np.ndarray, np.ndarray, tuple | None]:
+    """Support and wavenumber-budget guards, shared with config validation:
+    ``x0`` and ``v0`` as flat float arrays, and a table's rows ``(positions,
+    amplitudes)`` (a tabulated shape must be 1D, and is read here) or None."""
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     v0 = np.asarray(v0, dtype=float).reshape(-1)
     if x0.size != grid.dim or v0.size != grid.dim:
@@ -212,7 +214,7 @@ def check_packet_preconditions(grid: SpectralGrid, shape: PacketShape, x0, v0,
     if sigma is None:
         if grid.dim != 1:
             raise ConfigError("custom_table packets are one-dimensional")
-        return _load_table(shape.table_path)
+        return x0, v0, _load_table(shape.table_path)
     if np.any(sigma > L / 8.0):
         raise PacketTooWide(f"width {sigma.max():.3g} exceeds L/8 = {L / 8:.3g}")
     if np.max(np.abs(x0)) > L / 4.0:
@@ -220,9 +222,10 @@ def check_packet_preconditions(grid: SpectralGrid, shape: PacketShape, x0, v0,
     if k0 + 4.0 / sigma.min() > grid.k_max:
         raise AliasRisk(
             f"k0 + 4/sigma = {k0 + 4.0 / sigma.min():.3g} exceeds k_max = {grid.k_max:.3g}")
-    if shape.kind == "double_peak" and 2.0 * shape.tail_param >= L / 4.0:
-        raise PacketTooWide(f"peak separation {2 * shape.tail_param:.3g} must stay below L/4")
-    return None
+    # the envelope is the same for a half separation and its negative
+    if shape.kind == "double_peak" and 2.0 * abs(shape.tail_param) >= L / 4.0:
+        raise PacketTooWide(f"peak separation {2 * abs(shape.tail_param):.3g} must stay below L/4")
+    return x0, v0, None
 
 
 def make_packet(grid: SpectralGrid, shape: PacketShape, x0, v0, mass: float) -> WaveFunction:
@@ -237,10 +240,7 @@ def make_packet(grid: SpectralGrid, shape: PacketShape, x0, v0, mass: float) -> 
     InitialMomentMismatch names the grid mean reached.  A denser table
     reaches some offsets between nodes, not all of them.
     """
-    rows = check_packet_preconditions(grid, shape, x0, v0, mass)
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    v0 = np.asarray(v0, dtype=float).reshape(-1)
-    speed = float(np.linalg.norm(v0))
+    x0, v0, rows = check_packet_preconditions(grid, shape, x0, v0, mass)
     table = rows is not None
 
     def build(center: np.ndarray) -> np.ndarray:
@@ -262,7 +262,7 @@ def make_packet(grid: SpectralGrid, shape: PacketShape, x0, v0, mass: float) -> 
         env = build(center)
 
     psi = env.astype(complex)
-    if speed > 0:
+    if np.linalg.norm(v0) > 0:
         psi = _boost(grid, psi, mass, v0)
     # the norm, and the means checked below (scaling moves them by rounding)
     total, x, v, _ = _field_moments(grid, psi, mass)

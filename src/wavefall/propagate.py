@@ -78,7 +78,7 @@ class EvolveConfig:
 
     def __post_init__(self):
         if not self.dt > 0:
-            raise StepTooLarge(f"dt must be positive, got {self.dt}")
+            raise ConfigError(f"dt must be positive, got {self.dt}")
         if self.n_steps < 1 or self.record_every < 1:
             raise ConfigError("n_steps and record_every must be positive integers")
         if not 0.0 < self.boundary_margin_fraction < 0.5:

@@ -188,7 +188,9 @@ class SpectralGrid:
         sign.flags.writeable = False
         return sign
 
-    def _check(self, field: np.ndarray) -> np.ndarray:
+    def check_field(self, field: np.ndarray) -> np.ndarray:
+        """``field`` as complex128 (a complex128 view stays a view), or a
+        ``SizeMismatch``: the one shape check of grid fields."""
         field = np.asarray(field)
         if field.shape != self.shape:
             raise SizeMismatch(f"field shape {field.shape} does not match grid {self.shape}")
@@ -196,26 +198,25 @@ class SpectralGrid:
 
     def forward(self, field: np.ndarray) -> np.ndarray:
         """Unitary coordinate-referenced DFT of a grid field."""
-        spectrum = transform(self._check(field))
+        spectrum = transform(self.check_field(field))
         return np.multiply(self._center_signs, spectrum, out=spectrum)
 
     def inverse(self, field: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`forward`."""
-        field = self._center_signs * self._check(field)
+        field = self._center_signs * self.check_field(field)
         return transform(field, field, inverse=True)
 
 
-def padded(shape: tuple[int, ...], dim: int | None = None,
-           dtype=complex) -> tuple[np.ndarray, np.ndarray]:
-    """A zeroed buffer and its ``shape`` view: the one allocator of padded
-    fields, the step loop's and every ``transform`` output not given.  Of
-    the grid axes, the trailing ``dim`` (all when None), each after the
-    first has one pad cell, which keeps the transform axes off power-of-two
-    strides (at 64^3 the 64 KiB and 1 KiB strides put a line's samples in a
-    few cache sets).  Stack axes are not padded: ``k`` 3D fields take
-    ``(k, n, n + 1, n + 1)``, and in 1D the view is the whole buffer."""
+def padded(shape: tuple[int, ...], dim: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """A zeroed complex128 buffer and its ``shape`` view: the one allocator
+    of padded fields, the step loop's and every ``transform`` output not
+    given.  Of the grid axes, the trailing ``dim`` (all when None), each
+    after the first has one pad cell, keeping the transform axes off
+    power-of-two strides (at 64^3 the 64 KiB and 1 KiB strides put a line's
+    samples in a few cache sets).  Stack axes are not padded: ``k`` 3D
+    fields take ``(k, n, n + 1, n + 1)``; in 1D the view is the buffer."""
     first = 1 if dim is None else len(shape) - dim + 1
-    whole = np.zeros(shape[:first] + tuple(s + 1 for s in shape[first:]), dtype=dtype)
+    whole = np.zeros(shape[:first] + tuple(s + 1 for s in shape[first:]), dtype=complex)
     return whole, whole[(slice(None),) * first + tuple(slice(0, s) for s in shape[first:])]
 
 
@@ -243,7 +244,7 @@ def transform(field: np.ndarray, out: np.ndarray | None = None,
     ufunc = ifft_ufunc if inverse else fft_ufunc
     dim = field.ndim if dim is None else dim
     if out is None:
-        out = padded(field.shape, dim, np.result_type(field.dtype, 1j))[1]
+        out = padded(field.shape, dim)[1]
     split = field.ndim > 1 and field.size >= SPLIT_CELLS and _cpus() > 1
     for ax in range(field.ndim - 1, field.ndim - 1 - dim, -1):
         scale = 1.0 / math.sqrt(field.shape[ax])

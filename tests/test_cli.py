@@ -16,6 +16,9 @@ from wavefall.cli import _write_series_csv, main
 from wavefall.propagate import MomentSeries, check_kinetic_phase
 
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
 def base_doc(**overrides):
     doc = {
         "grid": {"dim": 1, "n": 256, "extent": 20.0},
@@ -192,6 +195,24 @@ class TestRunCommand:
                                            "weak-field threshold 0.1\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("shape,params,err", [
+        # a half separation and its negative give one envelope, so one fault
+        ("double_peak", [0.7, 3.0], "PacketTooWide: peak separation 6 must stay below L/4"),
+        ("double_peak", [0.7, -3.0], "PacketTooWide: peak separation 6 must stay below L/4"),
+        ("double_peak", [1.0], "ConfigError: double_peak params are its widths and then "
+                               "a half separation; got one number and no width"),
+        ("skewed_gaussian", [1.0], "ConfigError: skewed_gaussian params are its widths and "
+                                   "then a skew; got one number and no width"),
+    ], ids=["double_peak_plus_3", "double_peak_minus_3", "double_peak_one_number",
+            "skewed_one_number"])
+    def test_packet_shape_faults_exit_2(self, tmp_path, capsys, shape, params, err):
+        doc = json.loads((CONFIGS / "standard_1d.json").read_text())
+        doc["packet"].update(shape=shape, params=params)
+        out = tmp_path / "series.csv"
+        assert main(["run", "--config", write(tmp_path, doc), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == err + "\n"
+        assert not out.exists()
+
     def test_determinism(self, tmp_path):
         cfg = write(tmp_path, base_doc())
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -250,8 +271,7 @@ class TestRunCommand:
 
 
     def test_spectral_abort_flushes_partial(self, tmp_path, capsys):
-        from pathlib import Path
-        shipped = Path(__file__).resolve().parent.parent / "configs" / "standard_1d.json"
+        shipped = CONFIGS / "standard_1d.json"
         doc = json.loads(shipped.read_text())
         doc["evolve"]["spectral_mass_tol"] = 1e-10
         out = tmp_path / "series.csv"
@@ -631,10 +651,9 @@ class TestStepGuardsAtLoad:
     # ripple, which read no block.  Each run's step guards are those of the
     # steps it takes: ripple's one tidal kick has no kinetic phase.  At N=512
     # the kinetic phase per step is 514.7 dt / mass, pi at dt=0.4 for mass 65.5
-    CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
     def base(self):
-        return json.loads((self.CONFIGS / "converge_strang_1d.json").read_text())
+        return json.loads((CONFIGS / "converge_strang_1d.json").read_text())
 
     def test_swept_mass_is_not_checked_at_dt_list(self, tmp_path):
         # converge runs only the packet mass; (50, 0.4) is no pair it runs
@@ -673,14 +692,14 @@ class TestStepGuardsAtLoad:
          {"shape": "custom_table", "params": [], "table": "/nonexistent/wavefall-table.csv"})])
     def test_a_run_the_command_does_not_make_is_not_checked(self, tmp_path, name, command,
                                                             block, changes):
-        doc = json.loads((self.CONFIGS / name).read_text())
+        doc = json.loads((CONFIGS / name).read_text())
         doc[block].update(changes)
         config, out, want = write(tmp_path, doc), tmp_path / "out.json", tmp_path / "want.json"
         # an --out that exists is compared with every table the document
         # names, a missing one that no run reads included, and overwritten
         out.write_text("an earlier report\n")
         assert main([command, "--config", config, "--out", str(out)]) == 0
-        assert main([command, "--config", str(self.CONFIGS / name), "--out", str(want)]) == 0
+        assert main([command, "--config", str(CONFIGS / name), "--out", str(want)]) == 0
         assert json.loads(out.read_text())["report"] == json.loads(want.read_text())["report"]
         # run makes the packet's own run, so it still refuses the document
         with pytest.raises(SimulationError):
@@ -697,7 +716,7 @@ class TestStepGuardsAtLoad:
          "TooFewPoints: convergence study needs at least three step sizes\n")])
     def test_a_step_the_command_does_not_take_is_not_checked(self, tmp_path, capsys, command,
                                                              changes, code, err):
-        doc = json.loads((self.CONFIGS / "standard_1d.json").read_text())
+        doc = json.loads((CONFIGS / "standard_1d.json").read_text())
         for block, values in changes.items():
             doc[block].update(values)
         config, out = write(tmp_path, doc), tmp_path / "out.json"
@@ -714,7 +733,7 @@ class TestStepGuardsAtLoad:
         # checks each run in run order, packet then step guards, as the runs
         # check themselves: shape[0] fails its step guard first
         name = "wep_shapes_1d.json"
-        doc = json.loads((self.CONFIGS / name).read_text())
+        doc = json.loads((CONFIGS / name).read_text())
         doc["evolve"]["dt"] = 0.8
         doc["shapes"][1]["params"] = [3.0, 1.0]
         out = tmp_path / "out.json"
@@ -723,7 +742,7 @@ class TestStepGuardsAtLoad:
         assert capsys.readouterr().err == f"StepTooLarge: {line}\n"
         assert not out.exists()
         # the same scenario built without load fails the same way, labelled
-        shipped = load_scenario(self.CONFIGS / name, "wep")
+        shipped = load_scenario(CONFIGS / name, "wep")
         shapes = (shipped.shapes[0], PacketShape.skewed_gaussian(3.0, 1.0), shipped.shapes[2])
         unloaded = replace(shipped, evolve_cfg=replace(shipped.evolve_cfg, dt=0.8),
                            shapes=shapes)
@@ -750,7 +769,7 @@ class TestStepGuardsAtLoad:
         monkeypatch.setattr("wavefall.config.check_kinetic_phase", guard)
         for module in ("experiments", "cli"):
             monkeypatch.setattr(f"wavefall.{module}.evolve", capture)
-        assert main([command, "--config", str(self.CONFIGS / name),
+        assert main([command, "--config", str(CONFIGS / name),
                      "--out", str(tmp_path / "out")]) == 0
         assert evolved and guarded == evolved
 
@@ -761,8 +780,7 @@ class TestCommandBlocks:
     # Each of these configs fails at load with every block checked
     @staticmethod
     def shipped(name, **blocks):
-        configs = Path(__file__).resolve().parent.parent / "configs"
-        return {**json.loads((configs / name).read_text()), **blocks}
+        return {**json.loads((CONFIGS / name).read_text()), **blocks}
 
     @pytest.mark.parametrize("block", [{"dt_list": [0.8]}, {"masses": [5]}])
     def test_run_ignores_a_block_it_does_not_run(self, tmp_path, block):
@@ -837,9 +855,7 @@ class TestCommandBlocks:
 
 class TestShippedConfigs:
     def test_all_shipped_configs_load(self):
-        from pathlib import Path
-        configs = Path(__file__).resolve().parent.parent / "configs"
-        paths = sorted(configs.glob("*.json"))
+        paths = sorted(CONFIGS.glob("*.json"))
         assert len(paths) >= 7
         for path in paths:
             load_scenario(path)
@@ -1014,7 +1030,7 @@ class TestUnusablePaths:
         doc = base_doc()
         if case == "run_aborted":
             # the armed edge monitor stops the shipped standard_1d run
-            shipped = Path(__file__).resolve().parent.parent / "configs" / "standard_1d.json"
+            shipped = CONFIGS / "standard_1d.json"
             doc = json.loads(shipped.read_text())
             doc["evolve"]["spectral_mass_tol"] = 1e-10
         src = str(Path(__file__).resolve().parent.parent / "src")

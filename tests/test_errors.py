@@ -1,6 +1,7 @@
 """The error contract: every guard of the package raises a SimulationError,
 the class that names its fault."""
 
+import numpy as np
 import pytest
 
 from helpers import STD_DT, std_grid, std_packet
@@ -14,6 +15,7 @@ from wavefall import (
     SpectralGrid,
     StepScheme,
     TidalMatrix,
+    WaveFunction,
     evolve,
     make_packet,
     rk4_integrate,
@@ -31,6 +33,9 @@ def packet_2d():
 GUARDS = {
     "grid_odd_n": (ConfigError, lambda: SpectralGrid(dim=1, n=7, extent=1.0)),
     "evolve_no_steps": (ConfigError, lambda: EvolveConfig(dt=0.1, n_steps=0)),
+    "evolve_zero_dt": (ConfigError, lambda: EvolveConfig(dt=0.0, n_steps=1)),
+    "wave_function_shape": (SizeMismatch, lambda: WaveFunction(
+        SpectralGrid(dim=1, n=8, extent=1.0), np.zeros(5), 1.0)),
     "evolve_tidal_dim": (SizeMismatch, lambda: evolve(
         std_packet(std_grid()), TidalMatrix.zero(2), StepScheme.STRANG,
         EvolveConfig(dt=STD_DT, n_steps=1))),

@@ -299,7 +299,7 @@ class TestEvolve:
                    EvolveConfig(dt=STD_DT, n_steps=1))
 
     def test_config_validation(self):
-        with pytest.raises(StepTooLarge):
+        with pytest.raises(ConfigError):
             EvolveConfig(dt=-0.1, n_steps=10)
         with pytest.raises(ConfigError):
             EvolveConfig(dt=0.1, n_steps=0)
@@ -591,6 +591,8 @@ class TestPaddedLayout:
                          [0.002, -0.001, 0.001][:dim], 50.0)
         state = evolve(wf, TidalMatrix(LEAN_TIDAL[dim]), scheme,
                        EvolveConfig(dt=STD_DT, n_steps=7)).final_state
+        # the loop's view of its padded buffer, not a copy
+        assert state.psi.base is not None
         dense = replace(state, psi=np.ascontiguousarray(state.psi))
         assert dense.psi.flags.c_contiguous
         assert np.array_equal(dense.psi, state.psi)
